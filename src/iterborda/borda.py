@@ -10,6 +10,7 @@ polynomial superset of the (NP-hard) exact set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,42 +97,45 @@ def pair_diff_matrix(q: PartialOrder) -> np.ndarray:
     """Matrix D with D[c, c2] = :func:`max_pair_diff`(q, c, c2); diagonal 0.
 
     Vectorized over all ordered pairs; used by the voting center, which keeps
-    one such matrix per voter and sums them.
+    one such matrix per voter and sums them.  Where c2-over-c is open,
+    nothing is committed between c2 and c, and the entry
+    ``m - 1 - |above(c)| - |below(c2)|`` counts c2 plus every candidate free
+    to sit between them.  Where c2 is committed over c the entry is
+    ``-(1 + wedged)``, and the wedged counts come from one matrix product of
+    the 0/1 relation (in floating point, which runs through BLAS and is
+    exact for integer counts this small).
     """
     mat = q.mat
-    free = (~mat).astype(np.int32)
-    # free.T @ free.T counts x with neither x-over-c nor c2-over-x committed,
-    # including x in {c, c2} which contribute exactly 2 when c2-over-c is open.
-    open_case = free.T @ free.T - 1
-    wedged = (mat.astype(np.int32) @ mat.astype(np.int32)).T
-    d = np.where(mat.T, -(1 + wedged), open_case)
-    np.fill_diagonal(d, 0)
+    m = q.m
+    rel = mat.astype(np.float64)
+    # wedged[c2, c] = #x with c2 over x over c
+    wedged = (rel @ rel).astype(np.int64)
+    d = (m - 1) - mat.sum(axis=0)[:, None] - mat.sum(axis=1)
+    d = np.where(mat.T, -1 - wedged.T, d)
+    d.flat[:: m + 1] = 0
     return d
 
 
-def _tie_break_strict(m: int) -> np.ndarray:
-    """Mask [c, c2]: True when c2 beats c on the lexicographic tie-break."""
+@functools.cache
+def _tie_break_threshold(m: int) -> np.ndarray:
+    """Read-only [c, c2] matrix: 1 when c2 beats c on the lexicographic
+    tie-break (c must then win the pair strictly), else 0; diagonal 0."""
     idx = np.arange(m)
-    return idx[None, :] < idx[:, None]
+    thr = (idx[None, :] < idx[:, None]).astype(np.int64)
+    thr.flags.writeable = False
+    return thr
 
 
 def possible_winners_from_total(total: np.ndarray) -> frozenset[CandidateId]:
     """Possible-winner set given the summed max-pair-diff matrix."""
-    m = total.shape[0]
-    strict = _tie_break_strict(m)
-    ok = np.where(strict, total > 0, total >= 0)
-    np.fill_diagonal(ok, True)
-    return frozenset(int(c) for c in np.flatnonzero(ok.all(axis=1)))
+    ok = total >= _tie_break_threshold(total.shape[0])
+    return frozenset(np.nonzero(ok.all(axis=1))[0].tolist())
 
 
 def necessary_winner_from_total(total: np.ndarray) -> CandidateId | None:
     """Necessary winner given the summed max-pair-diff matrix, if one exists."""
-    m = total.shape[0]
-    # sum of per-voter minima of score(c) - score(c2) is -total[c2, c]
-    min_total = -total.T
-    strict = _tie_break_strict(m)
-    ok = np.where(strict, min_total > 0, min_total >= 0)
-    np.fill_diagonal(ok, True)
+    # the summed minimum of score(c) - score(c2) is -total[c2, c]
+    ok = -total.T >= _tie_break_threshold(total.shape[0])
     winners = np.flatnonzero(ok.all(axis=1))
     if winners.size == 0:
         return None

@@ -2,13 +2,20 @@
 
 The center knows nothing about the voters beyond their answers.  It keeps one
 transitively closed relation per voter, recomputes the possible-winner set
-after every answer, and stops as soon as a necessary winner exists.  Round
-cost is kept flat by caching each voter's pairwise score-difference matrix
-and the unresolved query pool, updating only what an answer touches.
+after every answer, and stops as soon as a necessary winner exists.
+
+A round costs what the answer touches.  The pairs the closure newly commits
+for the answering voter update a running count of open voters per candidate
+pair and the summed score-bound midpoints the ES heuristic ranks by; only
+that voter's pairwise score-difference matrix is recomputed and swapped into
+the summed matrix.  Query selection maps one draw to a query by a prefix sum
+over the per-pair counts, and the exact necessary-winner test runs only once
+a single possible winner is left, which is when it can first succeed.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -94,8 +101,27 @@ def is_safe(query: Query, pw: frozenset[CandidateId] | set[CandidateId]) -> bool
     return query.cj in pw and query.ck in pw
 
 
+@functools.cache
+def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Candidate pairs (a < b) in lexicographic order, once per m.
+
+    Returns the arrays of first and second candidates, indexed by pair, and
+    for each candidate the ascending indices of the m - 1 pairs touching it
+    (its ES pool).  Every array is read-only.
+    """
+    first, second = np.triu_indices(m, 1)
+    es_pools = tuple(np.flatnonzero((first == c) | (second == c)) for c in range(m))
+    for arr in (first, second, *es_pools):
+        arr.flags.writeable = False
+    return first, second, es_pools
+
+
 class CenterState:
-    """Per-voter partial knowledge plus the caches derived from it."""
+    """Per-voter partial knowledge plus the caches derived from it.
+
+    Every cache is updated from what an answer touches: the pairs its closure
+    newly commits for one voter, and that voter's pair-difference matrix.
+    """
 
     def __init__(self, n: int, m: int):
         if n < 1 or m < 2:
@@ -105,30 +131,53 @@ class CenterState:
         self.qs: list[PartialOrder] = [PartialOrder(m) for _ in range(n)]
         self.history: list[TraceStep] = []
         self.round = 0
-        # unresolved (a < b) pair -> voters for whom it is still open
-        self._pair_voters: dict[tuple[int, int], list[int]] = {
-            (a, b): list(range(n)) for a in range(m) for b in range(a + 1, m)
-        }
-        self._unresolved_total = n * m * (m - 1) // 2
+        self._first, self._second, self._es_pools = _pair_layout(m)
+        # flat positions of each pair's two directions in an m x m matrix
+        self._upper = self._first * m + self._second
+        self._lower = self._second * m + self._first
+        pairs = len(self._first)
+        # _open[v, k]: pair k is still open for voter v; _open_count sums over v
+        self._open = np.ones((n, pairs), dtype=bool)
+        self._open_count = np.full(pairs, n, dtype=np.int64)
+        self._unresolved_total = n * pairs
         self._diffs = [pair_diff_matrix(q) for q in self.qs]
         self._total = np.sum(self._diffs, axis=0, dtype=np.int64)
-        # per-voter sigma_min + sigma_max vectors, and their sum (ES heuristic)
-        self._mid = [np.full(m, 1 + m, dtype=np.int64) for _ in range(n)]
-        self._mid_total = np.full(m, n * (1 + m), dtype=np.int64)
-        self.pw_cache: frozenset[CandidateId] = possible_winners_from_total(self._total)
+        # summed sigma_min + sigma_max per candidate (the ES heuristic)
+        self._mid_total = np.sum(
+            [np.add(*score_bounds_vectors(q)) for q in self.qs], axis=0, dtype=np.int64
+        )
+        self._set_pw(possible_winners_from_total(self._total))
+
+    def _set_pw(self, pw: frozenset[CandidateId]) -> None:
+        """Publish a new possible-winner set and rebuild the safe-pair mask."""
+        self.pw_cache = pw
+        in_pw = np.zeros(self.m, dtype=bool)
+        in_pw[list(pw)] = True
+        self._safe = (in_pw[self._first] & in_pw[self._second]).astype(np.int64)
 
     def unresolved(self) -> list[Query]:
-        """Every query the center could still usefully ask."""
+        """Every query the center could still usefully ask, in draw order."""
         return [
             Query(v, a, b)
-            for (a, b), voters in self._pair_voters.items()
-            for v in voters
+            for a, b, voters in zip(self._first.tolist(), self._second.tolist(), self._open.T)
+            for v in np.nonzero(voters)[0].tolist()
         ]
 
     def unresolved_count(self) -> int:
         return self._unresolved_total
 
     def necessary_winner(self) -> CandidateId | None:
+        """The necessary winner, or None while it is undecided.
+
+        With ``thr[x, y]`` = 1 when y wins ties against x and 0 otherwise, c
+        is the necessary winner when ``-_total[c2, c] >= thr[c, c2]`` for
+        every rival c2, and c2 is a possible winner only if
+        ``_total[c2, c] >= thr[c2, c]``.  The two thresholds sum to 1, so a
+        necessary winner leaves no rival possible.  While two or more
+        candidates are possible winners the exact test is therefore skipped.
+        """
+        if len(self.pw_cache) > 1:
+            return None
         return necessary_winner_from_total(self._total)
 
     def view(self, current_orders: Sequence[LinearOrder]) -> PossibleWinnerView:
@@ -137,9 +186,6 @@ class CenterState:
             self.pw_cache,
             tuple(order_pw(p, self.pw_cache) for p in current_orders),
         )
-
-    def _full_pool(self):
-        return [(pair, voters) for pair, voters in self._pair_voters.items() if voters]
 
     def select_query(self, policy: Policy, rng: random.Random) -> Query:
         """Draw the next query under the policy, uniformly within its pool.
@@ -151,34 +197,38 @@ class CenterState:
         holds none it draws from the pool unchanged, unsafe queries included.
         So careful-ES falls back to unsafe ES-pool queries rather than
         reaching for safe queries outside the ES pool.
+
+        The pool's queries are ordered by pair (lexicographic), then voter
+        (ascending); one ``randrange`` over the pool size picks the query at
+        that position, found by a prefix sum of the per-pair open counts.
         """
         if self._unresolved_total == 0:
             raise NoQueriesLeftError("all pairs resolved for all voters")
+        # pool[k] is the pair of weights[k]; None means every pair, in order.
+        # Pairs without open voters weigh 0, which the prefix sum passes over;
+        # a pool is empty when its prefix sum ends at 0.
+        pool = None
+        weights = self._open_count
+        ends = None
         if policy.selector == ES:
-            star = int(np.argmax(self._mid_total))
-            pool = []
-            for x in range(self.m):
-                if x == star:
-                    continue
-                pair = (x, star) if x < star else (star, x)
-                voters = self._pair_voters[pair]
-                if voters:
-                    pool.append((pair, voters))
-            if not pool:
-                pool = self._full_pool()
-        else:
-            pool = self._full_pool()
+            es_pool = self._es_pools[self._mid_total.argmax()]
+            es_weights = weights[es_pool]
+            es_ends = es_weights.cumsum()
+            if es_ends[-1]:
+                pool, weights, ends = es_pool, es_weights, es_ends
         if policy.careful:
-            pw = self.pw_cache
-            safe = [(pair, vs) for pair, vs in pool if pair[0] in pw and pair[1] in pw]
-            if safe:
-                pool = safe
-        r = rng.randrange(sum(len(vs) for _, vs in pool))
-        for (a, b), voters in pool:
-            if r < len(voters):
-                return Query(voters[r], a, b)
-            r -= len(voters)
-        raise AssertionError("unreachable")
+            safe_weights = weights * (self._safe if pool is None else self._safe[pool])
+            safe_ends = safe_weights.cumsum()
+            if safe_ends[-1]:
+                weights, ends = safe_weights, safe_ends
+        if ends is None:
+            ends = weights.cumsum()
+        r = rng.randrange(int(ends[-1]))
+        k = int(ends.searchsorted(r, side="right"))
+        pair = k if pool is None else int(pool[k])
+        rank = r - int(ends[k] - weights[k])
+        voter = int(self._open[:, pair].nonzero()[0][rank])
+        return Query(voter, int(self._first[pair]), int(self._second[pair]))
 
     def apply_response(
         self,
@@ -199,20 +249,22 @@ class CenterState:
         if old.mat[a, b]:
             raise ValueError("query was already resolved for this voter")
         new = add_preference(old, a, b)  # raises InconsistencyError on conflict
-        for x, y in np.argwhere(new.mat & ~old.mat):
-            pair = (int(x), int(y)) if x < y else (int(y), int(x))
-            self._pair_voters[pair].remove(v)
-            self._unresolved_total -= 1
+        committed = new.mat & ~old.mat  # x over y newly committed by the closure
+        flat = committed.ravel()
+        resolved = flat.take(self._upper) | flat.take(self._lower)
+        self._open[v, resolved] = False
+        np.subtract(self._open_count, resolved, out=self._open_count)
+        self._unresolved_total -= int(np.count_nonzero(resolved))
+        # each new x over y raises x's sigma_min and lowers y's sigma_max by one
+        self._mid_total += committed.sum(axis=1) - committed.sum(axis=0)
         self.qs[v] = new
         fresh = pair_diff_matrix(new)
         self._total += fresh - self._diffs[v]
         self._diffs[v] = fresh
-        smin, smax = score_bounds_vectors(new)
-        mid = (smin + smax).astype(np.int64)
-        self._mid_total += mid - self._mid[v]
-        self._mid[v] = mid
         pw_at_issue = self.pw_cache
-        self.pw_cache = possible_winners_from_total(self._total)
+        pw = possible_winners_from_total(self._total)
+        if pw != pw_at_issue:
+            self._set_pw(pw)
         self.history.append(TraceStep(query, (a, b), manipulated, pw_at_issue))
         self.round += 1
 

@@ -6,6 +6,9 @@ Three subcommands:
 * ``experiment``: a config-driven sweep writing records.csv and summary.csv;
 * ``oracle-check``: random cross-validation of the fast manipulation search
   against the brute-force reference, nonzero exit on any mismatch.
+
+Bad input (an unreadable dataset, no voters, a candidate count outside what
+the oracle can enumerate) is reported as one line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -18,13 +21,26 @@ from pathlib import Path
 from . import experiment as exp
 from .center import Policy, is_safe, run_election
 from .manipulation import find_manipulation
-from .oracle import oracle_manipulation, random_instance
-from .preflib import load_soc, sample_profiles
+from .oracle import DEFAULT_CAP, oracle_manipulation, random_instance
+from .preflib import ParseError, load_soc, sample_profiles
 from .voter import BEHAVIORS
 
 
+def _bad_input(message: str) -> int:
+    """Report bad command-line input as one line; the exit code is 2."""
+    print(f"iterborda: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    ds = load_soc(args.dataset)
+    if args.voters < 1:
+        return _bad_input(f"--voters must be at least 1, got {args.voters}")
+    try:
+        ds = load_soc(args.dataset)
+    except OSError as exc:
+        return _bad_input(f"cannot read dataset {args.dataset}: {exc.strerror or exc}")
+    except ParseError as exc:
+        return _bad_input(f"malformed dataset {args.dataset}: {exc}")
     seed = exp.derive_seed(args.seed, "cli-run")
     rng = random.Random(seed)
     profiles = sample_profiles(ds, args.voters, rng)
@@ -66,6 +82,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if not 2 <= args.m <= DEFAULT_CAP:
+        return _bad_input(f"--m must be between 2 and {DEFAULT_CAP}, got {args.m}")
     rng = random.Random(args.seed)
     for i in range(args.instances):
         p, q, pw, cj, ck = random_instance(args.m, rng)
@@ -110,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="cross-check the manipulation search against brute force",
     )
-    p_orc.add_argument("--m", type=int, default=5, help="candidate count (<= 8)")
+    p_orc.add_argument("--m", type=int, default=5, help=f"candidate count (2 to {DEFAULT_CAP})")
     p_orc.add_argument("--instances", type=int, default=1000)
     p_orc.add_argument("--seed", type=int, default=0)
     p_orc.set_defaults(func=_cmd_oracle_check)

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("profile_sets and reps_per_set must be >= 1")
         if any(n < 1 for n in self.voter_counts):
             raise ValueError("voter counts must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         for b in self.behaviors:
             if b not in BEHAVIORS:
                 raise ValueError(f"unknown behavior {b!r}")
@@ -155,10 +157,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
-def policy_code(selector: str, careful: bool) -> str:
-    return ("careful-" if careful else "") + selector
 
 
 def _run_profile_set(cfg: ExperimentConfig, ds: Dataset, n: int, set_index: int) -> list[RunRecord]:

@@ -11,8 +11,10 @@ from iterborda.borda import (
     max_pair_diff,
     min_pair_diff,
     necessary_winner,
+    necessary_winner_from_total,
     pair_diff_matrix,
     possible_winners,
+    possible_winners_from_total,
     score_bounds,
 )
 from iterborda.oracle import enumerate_extensions
@@ -114,15 +116,16 @@ class TestPairDiffs:
 
     def test_matrix_agrees_with_scalar(self):
         rng = random.Random(6)
-        for _ in range(100):
-            m = rng.randint(2, 6)
+        # small relations, then the candidate counts the benchmark runs
+        sizes = [rng.randint(2, 6) for _ in range(100)] + [10] * 12 + [30] * 4
+        for m in sizes:
             q = random_relation(m, rng)
             d = pair_diff_matrix(q)
             for c in range(m):
                 for c2 in range(m):
                     if c != c2:
                         assert d[c, c2] == max_pair_diff(q, c, c2)
-        assert np.all(np.diag(d) == 0)
+            assert np.all(np.diag(d) == 0)
 
     def test_max_at_least_min(self):
         rng = random.Random(7)
@@ -133,6 +136,44 @@ class TestPairDiffs:
                 for c2 in range(m):
                     if c != c2:
                         assert max_pair_diff(q, c, c2) >= min_pair_diff(q, c, c2)
+
+
+def where_possible_winners(total):
+    """The original formulation: a masked np.where, then the diagonal set."""
+    m = total.shape[0]
+    idx = np.arange(m)
+    strict = idx[None, :] < idx[:, None]
+    ok = np.where(strict, total > 0, total >= 0)
+    np.fill_diagonal(ok, True)
+    return frozenset(int(c) for c in np.flatnonzero(ok.all(axis=1)))
+
+
+def where_necessary_winner(total):
+    m = total.shape[0]
+    idx = np.arange(m)
+    strict = idx[None, :] < idx[:, None]
+    min_total = -total.T
+    ok = np.where(strict, min_total > 0, min_total >= 0)
+    np.fill_diagonal(ok, True)
+    winners = np.flatnonzero(ok.all(axis=1))
+    return int(winners[0]) if winners.size else None
+
+
+class TestWinnersFromTotal:
+    def test_agree_with_where_formulation(self):
+        rng = random.Random(29)
+        np_rng = np.random.default_rng(29)
+        for _ in range(300):
+            m = rng.choice([2, 3, 4, 5, 7, 10, 30])
+            if rng.random() < 0.5:
+                qs = [random_relation(m, rng) for _ in range(rng.randint(1, 4))]
+                total = sum(pair_diff_matrix(q).astype(np.int64) for q in qs)
+            else:
+                # arbitrary integer matrices, dense with ties at 0 and +-1
+                total = np_rng.integers(-2, 3, (m, m))
+                np.fill_diagonal(total, 0)
+            assert possible_winners_from_total(total) == where_possible_winners(total)
+            assert necessary_winner_from_total(total) == where_necessary_winner(total)
 
 
 class TestPossibleWinners:

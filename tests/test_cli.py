@@ -62,3 +62,45 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--m", "4", "--instances", "200", "--seed", "0"])
         assert rc == 0
         assert "200 instances at m=4 agree" in capsys.readouterr().out
+
+    def test_smallest_candidate_count(self, capsys):
+        assert main(["oracle-check", "--m", "2", "--instances", "20"]) == 0
+
+
+def assert_one_line_error(capsys, expected):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert expected in captured.err
+
+
+class TestBadInput:
+    @staticmethod
+    def run_with_dataset(path):
+        return main([
+            "run", "--dataset", str(path), "--voters", "3",
+            "--policy", "es", "--behavior", "truthful",
+        ])
+
+    def test_missing_dataset(self, tmp_path, capsys):
+        assert self.run_with_dataset(tmp_path / "nope.soc") == 2
+        assert_one_line_error(capsys, "No such file or directory")
+
+    def test_malformed_dataset(self, tmp_path, capsys):
+        path = tmp_path / "bad.soc"
+        path.write_text("3: 1,2,x\n", encoding="utf-8")
+        assert self.run_with_dataset(path) == 2
+        assert_one_line_error(capsys, "malformed dataset")
+
+    def test_no_voters(self, capsys):
+        rc = main([
+            "run", "--dataset", str(bundled_path("sample7")), "--voters", "0",
+            "--policy", "es", "--behavior", "truthful",
+        ])
+        assert rc == 2
+        assert_one_line_error(capsys, "--voters must be at least 1, got 0")
+
+    @pytest.mark.parametrize("m", ["12", "1", "0", "-4"])
+    def test_oracle_candidate_count_out_of_range(self, capsys, m):
+        assert main(["oracle-check", "--m", m, "--instances", "5"]) == 2
+        assert_one_line_error(capsys, f"--m must be between 2 and 8, got {m}")

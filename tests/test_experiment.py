@@ -83,6 +83,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(behaviors=["psychic"])
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            tiny_config(workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            parse_config(f"dataset = d\nworkers = {workers}\n")
+
 
 class TestDeriveSeed:
     def test_stable_and_sensitive(self):
