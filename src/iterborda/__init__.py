@@ -10,8 +10,6 @@ preferring queries that are provably immune to such rewrites.
 """
 
 from .borda import (
-    PossibleWinnerView,
-    ScoreBounds,
     borda_scores,
     borda_winner,
     max_pair_diff,
@@ -19,7 +17,6 @@ from .borda import (
     necessary_winner,
     pair_diff_matrix,
     possible_winners,
-    score_bounds,
 )
 from .center import (
     CenterState,
@@ -51,12 +48,10 @@ from .oracle import (
 from .prefs import (
     CandidateId,
     InconsistencyError,
-    InvalidBoundsError,
     LinearOrder,
     PartialOrder,
     add_preference,
     close,
-    interval,
     interval_q,
     is_extension,
     project,

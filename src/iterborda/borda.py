@@ -11,32 +11,11 @@ polynomial superset of the (NP-hard) exact set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .prefs import CandidateId, LinearOrder, PartialOrder
-
-
-@dataclass(frozen=True)
-class ScoreBounds:
-    """Range of Borda scores a candidate can still reach for one voter."""
-
-    sigma_min: int
-    sigma_max: int
-
-
-@dataclass(frozen=True)
-class PossibleWinnerView:
-    """The current possible-winner set plus its per-voter ranking.
-
-    ``per_voter_order[i]`` lists the possible winners in descending order of
-    voter i's current ranking.
-    """
-
-    pw: frozenset[CandidateId]
-    per_voter_order: tuple[tuple[CandidateId, ...], ...]
 
 
 def borda_scores(profile: Sequence[LinearOrder]) -> np.ndarray:
@@ -55,15 +34,10 @@ def borda_winner(profile: Sequence[LinearOrder]) -> CandidateId:
     return int(np.argmax(borda_scores(profile)))
 
 
-def score_bounds(q: PartialOrder, c: CandidateId) -> ScoreBounds:
-    """Tight Borda score bounds for candidate ``c`` under partial order ``q``."""
-    below = int(q.mat[c, :].sum())
-    above = int(q.mat[:, c].sum())
-    return ScoreBounds(1 + below, q.m - above)
-
-
 def score_bounds_vectors(q: PartialOrder) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_min, sigma_max) arrays for all candidates at once."""
+    """Tight Borda score bounds (sigma_min, sigma_max) under ``q``, one entry
+    per candidate: 1 plus the candidates committed below it, and m minus the
+    candidates committed above it."""
     below = q.mat.sum(axis=1)
     above = q.mat.sum(axis=0)
     return 1 + below, q.m - above

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .borda import (
-    PossibleWinnerView,
     necessary_winner_from_total,
     pair_diff_matrix,
     possible_winners_from_total,
@@ -180,13 +179,6 @@ class CenterState:
             return None
         return necessary_winner_from_total(self._total)
 
-    def view(self, current_orders: Sequence[LinearOrder]) -> PossibleWinnerView:
-        """Bundle the possible winners with their per-voter ordering."""
-        return PossibleWinnerView(
-            self.pw_cache,
-            tuple(order_pw(p, self.pw_cache) for p in current_orders),
-        )
-
     def select_query(self, policy: Policy, rng: random.Random) -> Query:
         """Draw the next query under the policy, uniformly within its pool.
 
@@ -308,7 +300,10 @@ def run_election(
         query = state.select_query(policy, rng)
         vs = voters[query.voter]
         before = vs.p_current
-        answer, manipulated = vs.respond(query.cj, query.ck, pw, behavior)
+        # the voter searches against what she has revealed: the center's relation
+        answer, manipulated = vs.respond(
+            query.cj, query.ck, state.qs[query.voter], pw, behavior
+        )
         if check_invariants and manipulated:
             pw_seen = order_pw(before, pw)
             if order_pw(vs.p_current, pw) != pw_seen:

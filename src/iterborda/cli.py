@@ -7,8 +7,9 @@ Three subcommands:
 * ``oracle-check``: random cross-validation of the fast manipulation search
   against the brute-force reference, nonzero exit on any mismatch.
 
-Bad input (an unreadable dataset, no voters, a candidate count outside what
-the oracle can enumerate) is reported as one line on stderr with exit code 2.
+Bad input (an unreadable dataset or config, a malformed config, no voters, a
+candidate count outside what the oracle can enumerate) is reported as one
+line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = exp.load_config(args.config)
+    try:
+        cfg = exp.load_config(args.config)
+    except OSError as exc:
+        return _bad_input(f"cannot read config {args.config}: {exc.strerror or exc}")
+    except ValueError as exc:
+        return _bad_input(f"malformed config {args.config}: {exc}")
     out_dir = Path(args.out if args.out is not None else cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = exp.run_experiment(cfg)

@@ -28,12 +28,6 @@ POLICY_CODES = {
     "careful-random": ("random", True),
 }
 
-RECORDS_HEADER = (
-    "dataset,policy,careful,behavior,n_voters,set_index,rep_index,"
-    "queries_issued,max_queries,manipulated_count,winner,"
-    "paired_truthful_winner,outcome_changed"
-)
-
 
 def default_voter_counts() -> list[int]:
     """The small and large grids used in the reference experiments."""
@@ -255,61 +249,28 @@ def summarize(records: Sequence[RunRecord]) -> list[SummaryRow]:
     return rows
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _cell(value):
+    """A CSV cell: booleans as true/false, floats to six decimals."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
+
+
+def _write_rows(cls, rows: Iterable, path: str | Path) -> None:
+    """One CSV column per field of the dataclass ``cls``, in field order."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for r in rows:
+            writer.writerow([_cell(getattr(r, name)) for name in names])
 
 
 def write_records_csv(records: Iterable[RunRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDS_HEADER.split(","))
-        for r in records:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.policy,
-                    _bool(r.careful),
-                    r.behavior,
-                    r.n_voters,
-                    r.set_index,
-                    r.rep_index,
-                    r.queries_issued,
-                    r.max_queries,
-                    r.manipulated_count,
-                    r.winner,
-                    r.paired_truthful_winner,
-                    _bool(r.outcome_changed),
-                ]
-            )
+    _write_rows(RunRecord, records, path)
 
 
 def write_summary_csv(rows: Iterable[SummaryRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "dataset",
-                "policy",
-                "careful",
-                "behavior",
-                "n_voters",
-                "runs",
-                "mean_manipulation_ratio",
-                "mean_outcome_changed",
-                "mean_fraction_queried",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.policy,
-                    _bool(r.careful),
-                    r.behavior,
-                    r.n_voters,
-                    r.runs,
-                    f"{r.mean_manipulation_ratio:.6f}",
-                    f"{r.mean_outcome_changed:.6f}",
-                    f"{r.mean_fraction_queried:.6f}",
-                ]
-            )
+    _write_rows(SummaryRow, rows, path)

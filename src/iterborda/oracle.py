@@ -12,7 +12,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .manipulation import ManipulationOutcome, is_locally_dominant, order_pw
+from .manipulation import (
+    ManipulationOutcome,
+    PreconditionViolationError,
+    is_locally_dominant,
+    order_pw,
+)
 from .prefs import (
     CandidateId,
     LinearOrder,
@@ -92,8 +97,6 @@ def oracle_manipulation(
     change.  Same contract as
     :func:`iterborda.manipulation.find_manipulation`.
     """
-    from .manipulation import PreconditionViolationError
-
     if q.holds(cj, ck) or q.holds(ck, cj):
         raise PreconditionViolationError(
             f"queried pair ({cj}, {ck}) is already committed"

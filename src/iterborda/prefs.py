@@ -17,10 +17,6 @@ class InconsistencyError(ValueError):
     """A preference commitment contradicts what is already committed."""
 
 
-class InvalidBoundsError(ValueError):
-    """Interval bounds are not ordered upper-above-lower in the given ranking."""
-
-
 class LinearOrder:
     """A strict total ranking of candidates 0..m-1, most preferred first.
 
@@ -150,26 +146,6 @@ def swap_distance(p: LinearOrder, p2: LinearOrder) -> int:
             if rank2[ranking[j]] < ri:
                 d += 1
     return d
-
-
-def interval(
-    p: LinearOrder,
-    hi: CandidateId | None,
-    lo: CandidateId | None,
-    include_hi: bool = True,
-    include_lo: bool = True,
-) -> tuple[CandidateId, ...]:
-    """Candidates of ``p`` between ``hi`` and ``lo``, descending by ``p``.
-
-    ``None`` stands for the virtual top (as ``hi``) or bottom (as ``lo``)
-    candidate; virtual endpoints are never part of the result.  Raises
-    :class:`InvalidBoundsError` unless ``hi`` is ranked above ``lo``.
-    """
-    if hi is not None and lo is not None and not p.prefers(hi, lo):
-        raise InvalidBoundsError(f"{hi} is not ranked above {lo}")
-    start = 0 if hi is None else p.rank_of[hi] + (0 if include_hi else 1)
-    stop = p.m if lo is None else p.rank_of[lo] + (1 if include_lo else 0)
-    return p.ranking[start:stop]
 
 
 def interval_q(

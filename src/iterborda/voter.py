@@ -1,10 +1,12 @@
 """Voter agents.
 
-Each voter keeps her private true ranking, the current ranking she answers
-from (which drifts away from the truth only through adopted manipulations),
-and a mirror of the transitively closed relation the center has accumulated
-about her.  Answers are therefore always mutually consistent: the center
-never catches one of these agents contradicting itself.
+Each voter keeps her private true ranking and the current ranking she answers
+from, which drifts away from the truth only through adopted manipulations.
+She holds no copy of what she has revealed: the center's transitively closed
+relation for her is passed in with every query, and she answers and searches
+for a manipulation against it.  Her current ranking always extends that
+relation, so the center never catches one of these agents contradicting
+itself.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .manipulation import PreconditionViolationError, find_manipulation
-from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference
+# add_preference is unused here; it stays bound because perfbench/tracer.py patches it by name
+from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference  # noqa: F401
 
 TRUTHFUL = "truthful"
 MANIPULATIVE = "manipulative"
@@ -25,40 +28,36 @@ class VoterState:
     def __init__(self, p_true: LinearOrder):
         self.p_true = p_true
         self.p_current = p_true
-        self.q_self = PartialOrder(p_true.m)
 
     def respond(
         self,
         cj: CandidateId,
         ck: CandidateId,
+        q: PartialOrder,
         pw: Iterable[CandidateId],
         behavior: str,
     ) -> tuple[tuple[CandidateId, CandidateId], bool]:
         """Answer a pairwise query, possibly rewriting the current ranking.
 
-        Returns the submitted ordered pair (preferred, other) and whether the
-        answer came from a freshly adopted manipulation.  A truthful voter
-        reads the answer off her unchanged ranking.  A manipulative voter
-        first orients the query by her current ranking, then adopts the
-        closest locally dominant rewrite if one exists and answers the
-        inverted pair.  Either way her revealed-relation mirror absorbs the
-        answer.
+        ``q`` is the relation the voter has revealed so far, as the center
+        holds it; it is read, never changed.  Returns the submitted ordered
+        pair (preferred, other) and whether the answer came from a freshly
+        adopted manipulation.  A truthful voter reads the answer off her
+        unchanged ranking.  A manipulative voter first orients the query by
+        her current ranking, then adopts the closest locally dominant rewrite
+        consistent with ``q`` if one exists and answers the inverted pair.
         """
         if behavior not in BEHAVIORS:
             raise ValueError(f"unknown behavior {behavior!r}")
-        if self.q_self.holds(cj, ck) or self.q_self.holds(ck, cj):
+        if q.holds(cj, ck) or q.holds(ck, cj):
             raise PreconditionViolationError(
                 f"query ({cj}, {ck}) already resolved for this voter"
             )
 
         preferred, other = (cj, ck) if self.p_current.prefers(cj, ck) else (ck, cj)
-        manipulated = False
-        answer = (preferred, other)
         if behavior == MANIPULATIVE:
-            outcome = find_manipulation(self.p_current, self.q_self, pw, preferred, other)
+            outcome = find_manipulation(self.p_current, q, pw, preferred, other)
             if outcome.changed:
                 self.p_current = outcome.new_order
-                answer = (other, preferred)
-                manipulated = True
-        self.q_self = add_preference(self.q_self, *answer)
-        return answer, manipulated
+                return (other, preferred), True
+        return (preferred, other), False

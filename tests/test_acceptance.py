@@ -324,7 +324,9 @@ def test_criterion_8_trace_invariants(sweep_records):
             vs = voters[query.voter]
             pw_seen = order_pw(vs.p_current, pw)
             total_before = segment_total(vs.p_current, pw_seen)
-            answer, manipulated = vs.respond(query.cj, query.ck, pw, MANIPULATIVE)
+            answer, manipulated = vs.respond(
+                query.cj, query.ck, state.qs[query.voter], pw, MANIPULATIVE
+            )
             manipulations_seen += manipulated
             total_after = segment_total(vs.p_current, pw_seen)
             if manipulated:

@@ -15,7 +15,7 @@ from iterborda.borda import (
     pair_diff_matrix,
     possible_winners,
     possible_winners_from_total,
-    score_bounds,
+    score_bounds_vectors,
 )
 from iterborda.oracle import enumerate_extensions
 from iterborda.prefs import LinearOrder, PartialOrder, close
@@ -62,27 +62,34 @@ class TestBordaWinner:
 
 class TestScoreBounds:
     def test_fully_unknown(self):
-        b = score_bounds(PartialOrder(5), 0)
-        assert (b.sigma_min, b.sigma_max) == (1, 5)
+        lo, hi = score_bounds_vectors(PartialOrder(5))
+        assert lo.tolist() == [1] * 5
+        assert hi.tolist() == [5] * 5
 
     def test_complete_order_top_candidate(self):
+        # the complete ranking 2 > 0 > 1 > 3 pins every score
         q = close({(2, 0), (0, 1), (2, 1), (2, 3), (0, 3), (1, 3)}, 4)
-        b = score_bounds(q, 2)
-        assert (b.sigma_min, b.sigma_max) == (4, 4)
+        lo, hi = score_bounds_vectors(q)
+        assert lo.tolist() == hi.tolist() == [3, 2, 4, 1]
 
     def test_two_forced_below(self):
         q = close({(0, 3), (0, 4)}, 6)
-        b = score_bounds(q, 0)
-        assert (b.sigma_min, b.sigma_max) == (3, 6)
+        lo, hi = score_bounds_vectors(q)
+        assert (lo[0], hi[0]) == (3, 6)
+        assert (lo[3], hi[3]) == (1, 5)
 
     def test_bounds_always_ordered_and_in_range(self):
         rng = random.Random(11)
         for _ in range(100):
             m = rng.randint(2, 6)
             q = random_relation(m, rng)
-            for c in range(m):
-                b = score_bounds(q, c)
-                assert 1 <= b.sigma_min <= b.sigma_max <= m
+            lo, hi = score_bounds_vectors(q)
+            assert ((1 <= lo) & (lo <= hi) & (hi <= m)).all()
+            # tight: each bound is reached by some linear extension
+            scores = np.array([[m - e.rank_of[c] for c in range(m)]
+                               for e in enumerate_extensions(q)])
+            assert (scores.min(axis=0) == lo).all()
+            assert (scores.max(axis=0) == hi).all()
 
 
 class TestPairDiffs:

@@ -100,15 +100,6 @@ class TestCenterState:
         assert step.response == (2, 1)
         assert step.pw == frozenset({0, 1, 2})  # set at issue time
 
-    def test_view_orders_pw_per_voter(self):
-        state = CenterState(n=2, m=3)
-        orders = [LinearOrder([0, 1, 2]), LinearOrder([2, 1, 0])]
-        view = state.view(orders)
-        assert view.pw == frozenset({0, 1, 2})
-        assert view.per_voter_order == ((0, 1, 2), (2, 1, 0))
-        for seq in view.per_voter_order:
-            assert set(seq) == set(view.pw)
-
 
 class TestIsSafe:
     def test_both_in(self):
@@ -236,7 +227,7 @@ class TestRunElection:
         elicit_everything(state, LinearOrder([2, 1, 0]), 2)
         assert state.pw_cache == frozenset({1, 2})
         vs = VoterState(LinearOrder([0, 1, 2]))
-        answer, manipulated = vs.respond(0, 1, state.pw_cache, MANIPULATIVE)
+        answer, manipulated = vs.respond(0, 1, state.qs[0], state.pw_cache, MANIPULATIVE)
         state.apply_response(Query(0, 0, 1), answer, manipulated)
         assert manipulated
         assert answer == (1, 0)

@@ -52,9 +52,24 @@ class TestExperiment:
         assert {row["behavior"] for row in rows} == {"truthful", "manipulative"}
         assert (out_dir / "summary.csv").exists()
 
-    def test_missing_config_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["experiment", "--config", str(tmp_path / "nope.cfg")])
+    def test_missing_config_errors(self, tmp_path, capsys):
+        assert main(["experiment", "--config", str(tmp_path / "nope.cfg")]) == 2
+        assert_one_line_error(capsys, "cannot read config")
+
+    def test_unreadable_config_errors(self, tmp_path, capsys):
+        # a directory cannot be read as a config file
+        assert main(["experiment", "--config", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "cannot read config")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["voter_counts = 3\n", "dataset = x\nworkers = 0\n", "dataset x\n", "colour = red\n"],
+    )
+    def test_malformed_config_errors(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["experiment", "--config", str(config)]) == 2
+        assert_one_line_error(capsys, "malformed config")
 
 
 class TestOracleCheck:

@@ -137,7 +137,7 @@ def test_trace_superset_and_manipulations_against_exact_set():
             query = state.select_query(policy, query_rng)
             vs = voters[query.voter]
             p_before, q_before = vs.p_current, state.qs[query.voter]
-            answer, manipulated = vs.respond(query.cj, query.ck, pw, MANIPULATIVE)
+            answer, manipulated = vs.respond(query.cj, query.ck, q_before, pw, MANIPULATIVE)
             if manipulated:
                 manipulations += 1
                 assert exact is not None, "manipulation while every candidate was possible"

@@ -6,8 +6,9 @@ import pytest
 
 from iterborda.center import Policy, run_election
 from iterborda.experiment import (
-    RECORDS_HEADER,
     ExperimentConfig,
+    RunRecord,
+    SummaryRow,
     derive_seed,
     parse_config,
     run_experiment,
@@ -173,6 +174,18 @@ class TestSummaries:
             summarize([])
 
 
+# the exact headers documented in README.md
+RECORDS_HEADER = (
+    "dataset,policy,careful,behavior,n_voters,set_index,rep_index,"
+    "queries_issued,max_queries,manipulated_count,winner,"
+    "paired_truthful_winner,outcome_changed"
+)
+SUMMARY_HEADER = (
+    "dataset,policy,careful,behavior,n_voters,runs,"
+    "mean_manipulation_ratio,mean_outcome_changed,mean_fraction_queried"
+)
+
+
 class TestCsv:
     def test_exact_header_and_byte_determinism(self, tmp_path):
         records = run_experiment(tiny_config(reps_per_set=2))
@@ -185,9 +198,19 @@ class TestCsv:
         assert text == path_b.read_text(encoding="utf-8")
         assert len(text.splitlines()) == len(records) + 1
 
+    def test_cells_follow_field_types(self, tmp_path):
+        record = RunRecord("d", "es", True, TRUTHFUL, 3, 0, 1, 5, 9, 0, 2, 2, False)
+        row = SummaryRow("d", "random", False, MANIPULATIVE, 3, 4, 0.125, 0.0, 2 / 3)
+        write_records_csv([record], tmp_path / "records.csv")
+        write_summary_csv([row], tmp_path / "summary.csv")
+        records = (tmp_path / "records.csv").read_text(encoding="utf-8").splitlines()
+        summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert records[1] == "d,es,true,truthful,3,0,1,5,9,0,2,2,false"
+        assert summary[1] == "d,random,false,manipulative,3,4,0.125000,0.000000,0.666667"
+
     def test_summary_written(self, tmp_path):
         records = run_experiment(tiny_config())
         write_summary_csv(summarize(records), tmp_path / "summary.csv")
         lines = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("dataset,policy,careful,behavior,n_voters,runs,")
+        assert lines[0] == SUMMARY_HEADER
         assert len(lines) == 5

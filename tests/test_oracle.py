@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from iterborda.manipulation import PreconditionViolationError
 from iterborda.oracle import (
     CapExceededError,
     closest_extensions,
@@ -117,6 +118,12 @@ class TestOracleManipulation:
     def test_safe_query_unchanged(self):
         out = oracle_manipulation(LinearOrder([0, 1, 2]), PartialOrder(3), {1, 2}, 1, 2)
         assert not out.changed
+
+    def test_resolved_pair_rejected(self):
+        q = close({(0, 1)}, 3)
+        for cj, ck in ((0, 1), (1, 0)):
+            with pytest.raises(PreconditionViolationError):
+                oracle_manipulation(LinearOrder([0, 1, 2]), q, {1, 2}, cj, ck)
 
     def test_cap_propagates(self):
         with pytest.raises(CapExceededError):

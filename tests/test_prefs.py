@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from iterborda.prefs import (
     InconsistencyError,
-    InvalidBoundsError,
     LinearOrder,
     PartialOrder,
     add_preference,
     close,
-    interval,
     interval_q,
     is_extension,
     project,
@@ -23,7 +21,6 @@ from iterborda.prefs import (
 
 # the six-candidate example pair used throughout: c_i maps to id i-1
 P = LinearOrder([1, 0, 2, 4, 3, 5])  # c2 > c1 > c3 > c5 > c4 > c6
-P2 = LinearOrder([3, 5, 0, 4, 2, 1])  # c4 > c6 > c1 > c5 > c3 > c2
 
 
 def perm_strategy(max_m=8):
@@ -147,32 +144,6 @@ class TestSwapDistance:
         assert dab == swap_distance(b, a)
         assert (dab == 0) == (a == b)
         assert dab <= swap_distance(a, c) + swap_distance(c, b)
-
-
-class TestInterval:
-    def test_inclusive_both(self):
-        assert interval(P, 0, 3) == (0, 2, 4, 3)  # [c1, P, c4]
-
-    def test_exclusive_lower(self):
-        assert interval(P, 0, 3, include_lo=False) == (0, 2, 4)  # [c1, P, c4)
-
-    def test_top_unbounded(self):
-        assert interval(P2, None, 0) == (3, 5, 0)  # everything down to c1
-
-    def test_bottom_unbounded_exclusive(self):
-        assert interval(P, 4, None, include_hi=False) == (3, 5)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(InvalidBoundsError):
-            interval(P, 3, 0)  # c4 is ranked below c1
-        with pytest.raises(InvalidBoundsError):
-            interval(P, 0, 0)
-
-    def test_inclusive_contains_exclusive(self):
-        incl = interval(P, 1, 3)
-        excl = interval(P, 1, 3, include_hi=False, include_lo=False)
-        assert set(excl) < set(incl)
-        assert len(incl) - len(excl) == 2
 
 
 class TestIntervalQ:

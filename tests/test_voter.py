@@ -2,102 +2,123 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from iterborda.center import CenterState, Query
 from iterborda.manipulation import PreconditionViolationError
-from iterborda.prefs import LinearOrder, close, is_extension, project
+from iterborda.prefs import LinearOrder, PartialOrder, close, is_extension, project
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
 
 class TestTruthful:
     def test_answers_follow_true_ranking(self):
         vs = VoterState(LinearOrder([0, 1, 2]))
-        answer, manipulated = vs.respond(1, 2, {0, 1, 2}, TRUTHFUL)
+        answer, manipulated = vs.respond(1, 2, PartialOrder(3), {0, 1, 2}, TRUTHFUL)
         assert answer == (1, 2)
         assert not manipulated
 
     def test_orientation_does_not_matter(self):
         vs = VoterState(LinearOrder([0, 1, 2]))
-        answer, _ = vs.respond(2, 1, {0, 1, 2}, TRUTHFUL)
+        answer, _ = vs.respond(2, 1, PartialOrder(3), {0, 1, 2}, TRUTHFUL)
         assert answer == (1, 2)
 
     def test_ranking_never_drifts(self):
         rng = random.Random(3)
         p = LinearOrder(rng.sample(range(5), 5))
         vs = VoterState(p)
+        state = CenterState(1, 5)
         pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         rng.shuffle(pairs)
         for a, b in pairs:
-            if vs.q_self.holds(a, b) or vs.q_self.holds(b, a):
+            q = state.qs[0]
+            if q.holds(a, b) or q.holds(b, a):
                 continue
-            vs.respond(a, b, {0, 1}, TRUTHFUL)
+            answer, _ = vs.respond(a, b, q, {0, 1}, TRUTHFUL)
+            state.apply_response(Query(0, a, b), answer)
         assert vs.p_current == vs.p_true == p
-        assert vs.q_self.is_complete()
-
-    def test_mirror_tracks_answers(self):
-        vs = VoterState(LinearOrder([2, 0, 1]))
-        vs.respond(0, 1, {0, 1, 2}, TRUTHFUL)
-        vs.respond(2, 1, {0, 1, 2}, TRUTHFUL)
-        assert vs.q_self == close({(0, 1), (2, 1)}, 3)
+        assert state.qs[0].is_complete()
 
 
 class TestManipulative:
     def test_toy_manipulation_adopted(self):
         vs = VoterState(LinearOrder([0, 1, 2]))
-        answer, manipulated = vs.respond(0, 1, {1, 2}, MANIPULATIVE)
+        answer, manipulated = vs.respond(0, 1, PartialOrder(3), {1, 2}, MANIPULATIVE)
         assert manipulated
         assert answer == (1, 0)
         assert vs.p_current == LinearOrder([1, 0, 2])
         assert vs.p_true == LinearOrder([0, 1, 2])
-        assert vs.q_self == close({(1, 0)}, 3)
 
     def test_safe_query_leaves_ranking_alone(self):
         vs = VoterState(LinearOrder([0, 1, 2]))
-        answer, manipulated = vs.respond(1, 2, {1, 2}, MANIPULATIVE)
+        answer, manipulated = vs.respond(1, 2, PartialOrder(3), {1, 2}, MANIPULATIVE)
         assert not manipulated
         assert answer == (1, 2)
         assert vs.p_current == vs.p_true
 
+    def test_search_honours_revealed_relation(self):
+        # asked 1 vs 3 with possible winners {0, 2}, the voter flips to
+        # 0 > 3 > 1 > 2 while nothing is revealed; once she has revealed
+        # 2 over 3 no consistent flip is locally dominant and she answers truly
+        p = LinearOrder([0, 1, 2, 3])
+        fresh = VoterState(p)
+        assert fresh.respond(1, 3, PartialOrder(4), {0, 2}, MANIPULATIVE) == ((3, 1), True)
+        assert fresh.p_current == LinearOrder([0, 3, 1, 2])
+        bound = VoterState(p)
+        q = close({(2, 3)}, 4)
+        assert bound.respond(1, 3, q, {0, 2}, MANIPULATIVE) == ((1, 3), False)
+        assert bound.p_current == p
+
     def test_resolved_pair_rejected(self):
         vs = VoterState(LinearOrder([0, 1, 2]))
-        vs.respond(0, 1, {0, 1, 2}, TRUTHFUL)
+        q = close({(0, 1)}, 3)
         with pytest.raises(PreconditionViolationError):
-            vs.respond(0, 1, {0, 1, 2}, TRUTHFUL)
+            vs.respond(0, 1, q, {0, 1, 2}, TRUTHFUL)
         with pytest.raises(PreconditionViolationError):
-            vs.respond(1, 0, {0, 1, 2}, MANIPULATIVE)
+            vs.respond(1, 0, q, {0, 1, 2}, MANIPULATIVE)
 
     def test_unknown_behavior_rejected(self):
         vs = VoterState(LinearOrder([0, 1]))
         with pytest.raises(ValueError):
-            vs.respond(0, 1, {0}, "chaotic")
+            vs.respond(0, 1, PartialOrder(2), {0}, "chaotic")
 
     def test_answers_stay_mutually_consistent(self):
         # hammer one voter with every pair under a drifting possible-winner
-        # set; her running closure must accept every answer.  (With arbitrary
+        # set; a real center folds each answer into her relation and would
+        # raise InconsistencyError on any contradiction.  (With arbitrary
         # non-shrinking pw sets only order preservation against the ranking
         # she held at that round is guaranteed, not against p_true.)
         rng = random.Random(11)
         for _ in range(50):
             m = rng.randint(3, 6)
             vs = VoterState(LinearOrder(rng.sample(range(m), m)))
+            state = CenterState(1, m)
             pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
             rng.shuffle(pairs)
             for a, b in pairs:
-                if vs.q_self.holds(a, b) or vs.q_self.holds(b, a):
+                q = state.qs[0]
+                if q.holds(a, b) or q.holds(b, a):
                     continue
                 pw = set(rng.sample(range(m), rng.randint(1, m)))
                 before = vs.p_current
-                answer, manipulated = vs.respond(a, b, pw, MANIPULATIVE)
-                assert is_extension(vs.p_current, vs.q_self)
+                mat_before = q.mat.copy()
+                answer, manipulated = vs.respond(a, b, q, pw, MANIPULATIVE)
+                assert np.array_equal(q.mat, mat_before)
+                state.apply_response(Query(0, a, b), answer, manipulated)
+                assert is_extension(vs.p_current, state.qs[0])
                 if manipulated:
                     assert project(vs.p_current, pw) == project(before, pw)
+            assert state.qs[0].is_complete()
 
     def test_current_order_always_extends_mirror(self):
         rng = random.Random(13)
         vs = VoterState(LinearOrder(rng.sample(range(5), 5)))
+        state = CenterState(1, 5)
         for a in range(5):
             for b in range(a + 1, 5):
-                if vs.q_self.holds(a, b) or vs.q_self.holds(b, a):
+                q = state.qs[0]
+                if q.holds(a, b) or q.holds(b, a):
                     continue
-                vs.respond(a, b, {0, 4}, MANIPULATIVE)
-                assert is_extension(vs.p_current, vs.q_self)
+                answer, manipulated = vs.respond(a, b, q, {0, 4}, MANIPULATIVE)
+                state.apply_response(Query(0, a, b), answer, manipulated)
+                assert is_extension(vs.p_current, state.qs[0])
