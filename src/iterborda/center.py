@@ -15,9 +15,10 @@ a single possible winner is left, which is when it can first succeed.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .prefs import (
     add_preference,
     project,
 )
-from .voter import BEHAVIORS, VoterState
+from .voter import BEHAVIORS, TRUTHFUL, VoterState
 
 ES = "es"
 RANDOM = "random"
@@ -66,6 +67,17 @@ class Policy:
     def name(self) -> str:
         return ("careful-" if self.careful else "") + self.selector
 
+    @classmethod
+    def parse(cls, name: str) -> Policy:
+        """The policy called ``name``: the inverse of ``Policy.name``."""
+        for policy in POLICIES:
+            if policy.name == name:
+                return policy
+        raise ValueError(f"unknown policy {name!r} (use {[p.name for p in POLICIES]})")
+
+
+POLICIES = tuple(Policy(selector, careful) for careful in (False, True) for selector in SELECTORS)
+
 
 @dataclass(frozen=True)
 class Query:
@@ -86,13 +98,22 @@ class TraceStep:
 
 @dataclass
 class ElectionResult:
-    """Outcome and full trace of a single election run."""
+    """Outcome and full trace of a single election run.
+
+    ``fork`` is set on a manipulative run that manipulated at least once: the
+    center's state, the RNG state and the pending query at the first
+    manipulated answer, before that answer was applied.  Up to there the
+    truthful run on the same seed is identical, so it can resume from the fork.
+    """
 
     winner: CandidateId
     queries_issued: int
     max_queries: int
     manipulated_count: int
     trace: list[TraceStep] = field(repr=False)
+    fork: tuple[CenterState, tuple, Query] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def is_safe(query: Query, pw: frozenset[CandidateId] | set[CandidateId]) -> bool:
@@ -146,6 +167,15 @@ class CenterState:
             [np.add(*score_bounds_vectors(q)) for q in self.qs], axis=0, dtype=np.int64
         )
         self._set_pw(possible_winners_from_total(self._total))
+
+    def copy(self) -> CenterState:
+        """An independent copy: answers applied to one leave the other unchanged."""
+        # pw_cache, _safe and the pair layout are replaced, never changed in place
+        twin = copy.copy(self)
+        twin.qs, twin._diffs, twin.history = list(self.qs), list(self._diffs), list(self.history)
+        for name in ("_total", "_mid_total", "_open", "_open_count"):
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
 
     def _set_pw(self, pw: frozenset[CandidateId]) -> None:
         """Publish a new possible-winner set and rebuild the safe-pair mask."""
@@ -267,6 +297,7 @@ def run_election(
     policy: Policy,
     rng: random.Random,
     check_invariants: bool = True,
+    twin: ElectionResult | None = None,
 ) -> ElectionResult:
     """Run one election to termination and return its outcome and trace.
 
@@ -276,9 +307,17 @@ def run_election(
     manipulations keep the possible winners in the voter's original order and
     strictly widen their span, and that every voter's current ranking still
     orders the final possible winners exactly as her true ranking does.
+
+    ``twin`` is the manipulative run on the same profiles, policy and seed;
+    only a truthful run accepts it.  The two runs agree up to the twin's
+    first manipulated answer, so the truthful run resumes from the twin's
+    fork there, answering the pending query truthfully, instead of replaying
+    the shared prefix.  A twin that never manipulated ran this very election.
     """
     if behavior not in BEHAVIORS:
         raise ValueError(f"unknown behavior {behavior!r}")
+    if twin is not None and behavior != TRUTHFUL:
+        raise ValueError("only a truthful run can resume from a manipulative twin")
     n = len(profiles)
     if n == 0:
         raise ValueError("need at least one voter")
@@ -287,8 +326,20 @@ def run_election(
         raise ValueError("all profiles must rank the same candidates")
 
     voters = [VoterState(p) for p in profiles]
-    state = CenterState(n, m)
     max_queries = n * m * (m - 1) // 2
+    if twin is None:
+        state = CenterState(n, m)
+    elif twin.fork is None:
+        return replace(twin, trace=list(twin.trace))
+    else:
+        fork_state, rng_state, query = twin.fork
+        state = fork_state.copy()
+        rng.setstate(rng_state)
+        answer, _ = voters[query.voter].respond(
+            query.cj, query.ck, state.qs[query.voter], state.pw_cache, TRUTHFUL
+        )
+        state.apply_response(query, answer)
+    fork = None
 
     while True:
         winner = state.necessary_winner()
@@ -310,6 +361,8 @@ def run_election(
                 raise TraceInvariantError("manipulation reordered the possible winners")
             if segment_total(vs.p_current, pw_seen) <= segment_total(before, pw_seen):
                 raise TraceInvariantError("manipulation did not widen the possible-winner span")
+        if manipulated and fork is None:
+            fork = (state.copy(), rng.getstate(), query)
         state.apply_response(query, answer, manipulated)
 
     if check_invariants:
@@ -331,4 +384,5 @@ def run_election(
         max_queries=max_queries,
         manipulated_count=manipulated_count,
         trace=state.history,
+        fork=fork,
     )

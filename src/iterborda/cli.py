@@ -7,9 +7,9 @@ Three subcommands:
 * ``oracle-check``: random cross-validation of the fast manipulation search
   against the brute-force reference, nonzero exit on any mismatch.
 
-Bad input (an unreadable dataset or config, a malformed config, no voters, a
+Bad input (an unreadable or malformed dataset or config, no voters, a
 candidate count outside what the oracle can enumerate) is reported as one
-line on stderr with exit code 2.
+line on stderr with exit code 2, before any output is written.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 
 from . import experiment as exp
-from .center import Policy, is_safe, run_election
+from .center import SELECTORS, Policy, is_safe, run_election
 from .manipulation import find_manipulation
 from .oracle import DEFAULT_CAP, oracle_manipulation, random_instance
-from .preflib import ParseError, load_soc, sample_profiles
+from .preflib import Dataset, ParseError, load_soc, sample_profiles
 from .voter import BEHAVIORS
 
 
@@ -33,15 +33,23 @@ def _bad_input(message: str) -> int:
     return 2
 
 
+def _load_dataset(path: str) -> Dataset | None:
+    """The dataset at ``path``, or None once why it cannot be loaded is reported."""
+    try:
+        return load_soc(path)
+    except OSError as exc:
+        _bad_input(f"cannot read dataset {path}: {exc.strerror or exc}")
+    except (ParseError, UnicodeDecodeError) as exc:
+        _bad_input(f"malformed dataset {path}: {exc}")
+    return None
+
+
 def _cmd_run(args) -> int:
     if args.voters < 1:
         return _bad_input(f"--voters must be at least 1, got {args.voters}")
-    try:
-        ds = load_soc(args.dataset)
-    except OSError as exc:
-        return _bad_input(f"cannot read dataset {args.dataset}: {exc.strerror or exc}")
-    except ParseError as exc:
-        return _bad_input(f"malformed dataset {args.dataset}: {exc}")
+    ds = _load_dataset(args.dataset)
+    if ds is None:
+        return 2
     seed = exp.derive_seed(args.seed, "cli-run")
     rng = random.Random(seed)
     profiles = sample_profiles(ds, args.voters, rng)
@@ -77,9 +85,12 @@ def _cmd_experiment(args) -> int:
         return _bad_input(f"cannot read config {args.config}: {exc.strerror or exc}")
     except ValueError as exc:
         return _bad_input(f"malformed config {args.config}: {exc}")
+    ds = _load_dataset(cfg.dataset)
+    if ds is None:
+        return 2
     out_dir = Path(args.out if args.out is not None else cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = exp.run_experiment(cfg)
+    records = exp.run_experiment(cfg, ds)
     exp.write_records_csv(records, out_dir / "records.csv")
     exp.write_summary_csv(exp.summarize(records), out_dir / "summary.csv")
     print(f"wrote {len(records)} records to {out_dir / 'records.csv'}")
@@ -119,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single election and print its trace")
     p_run.add_argument("--dataset", required=True, help="path to a .soc data file")
     p_run.add_argument("--voters", type=int, required=True)
-    p_run.add_argument("--policy", choices=["es", "random"], required=True)
+    p_run.add_argument("--policy", choices=SELECTORS, required=True)
     p_run.add_argument("--careful", action="store_true")
     p_run.add_argument("--behavior", choices=list(BEHAVIORS), required=True)
     p_run.add_argument("--seed", type=int, default=0)

@@ -3,7 +3,10 @@
 Every election run gets a seed derived deterministically from the config's
 base seed and the run's coordinates, and each manipulative run shares its
 seed with a truthful twin so that any change in the final winner is
-attributable to manipulation alone.  Records are sorted by their coordinates
+attributable to manipulation alone.  The two twins ask the same queries and
+get the same answers up to the first manipulated answer, so the manipulative
+twin runs first and the truthful twin resumes from its state there instead
+of replaying the shared prefix.  Records are sorted by their coordinates
 before writing, so the CSV bytes do not depend on worker scheduling.
 """
 
@@ -17,16 +20,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .center import Policy, run_election
+from .center import POLICIES, Policy, run_election
 from .preflib import Dataset, load_soc, sample_profiles
 from .voter import BEHAVIORS, MANIPULATIVE, TRUTHFUL
-
-POLICY_CODES = {
-    "es": ("es", False),
-    "random": ("random", False),
-    "careful-es": ("es", True),
-    "careful-random": ("random", True),
-}
 
 
 def default_voter_counts() -> list[int]:
@@ -39,7 +35,7 @@ class ExperimentConfig:
     dataset: str
     voter_counts: list[int] = field(default_factory=default_voter_counts)
     policies: list[tuple[str, bool]] = field(
-        default_factory=lambda: list(POLICY_CODES.values())
+        default_factory=lambda: [(p.selector, p.careful) for p in POLICIES]
     )
     behaviors: list[str] = field(default_factory=lambda: list(BEHAVIORS))
     profile_sets: int = 20
@@ -132,13 +128,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if "voter_counts" in raw:
         kwargs["voter_counts"] = [int(tok) for tok in raw["voter_counts"].split(",")]
     if "policies" in raw:
-        policies = []
-        for tok in raw["policies"].split(","):
-            tok = tok.strip().lower()
-            if tok not in POLICY_CODES:
-                raise ValueError(f"unknown policy {tok!r} (use {sorted(POLICY_CODES)})")
-            policies.append(POLICY_CODES[tok])
-        kwargs["policies"] = policies
+        policies = [Policy.parse(tok.strip().lower()) for tok in raw["policies"].split(",")]
+        kwargs["policies"] = [(p.selector, p.careful) for p in policies]
     if "behaviors" in raw:
         kwargs["behaviors"] = [tok.strip().lower() for tok in raw["behaviors"].split(",")]
     for key in ("profile_sets", "reps_per_set", "base_seed", "workers"):
@@ -163,13 +154,16 @@ def _run_profile_set(cfg: ExperimentConfig, ds: Dataset, n: int, set_index: int)
         for selector, careful in cfg.policies:
             policy = Policy(selector, careful)
             seed = derive_seed(cfg.base_seed, "run", n, set_index, rep, selector, careful)
-            # the truthful twin always runs: it anchors outcome_changed
-            truthful = run_election(profiles, TRUTHFUL, policy, random.Random(seed))
-            results = {TRUTHFUL: truthful}
+            results = {}
             if MANIPULATIVE in cfg.behaviors:
                 results[MANIPULATIVE] = run_election(
                     profiles, MANIPULATIVE, policy, random.Random(seed)
                 )
+            # the truthful twin always runs: it anchors outcome_changed
+            truthful = results[TRUTHFUL] = run_election(
+                profiles, TRUTHFUL, policy, random.Random(seed),
+                twin=results.get(MANIPULATIVE),
+            )
             for behavior in cfg.behaviors:
                 res = results[behavior]
                 records.append(

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from iterborda.borda import borda_winner, possible_winners
@@ -99,6 +100,39 @@ class TestCenterState:
         step = state.history[0]
         assert step.response == (2, 1)
         assert step.pw == frozenset({0, 1, 2})  # set at issue time
+
+    def test_copy_is_independent_of_original(self):
+        rng = random.Random(3)
+        orders = random_profiles(4, 3, rng)
+        state = CenterState(n=3, m=4)
+        state.apply_response(Query(0, 0, 1), (0, 1) if orders[0].prefers(0, 1) else (1, 0))
+        qs, history, rnd, pw = list(state.qs), list(state.history), state.round, state.pw_cache
+        arrays = {
+            name: getattr(state, name).copy()
+            for name in ("_total", "_mid_total", "_open", "_open_count")
+        }
+        twin = state.copy()
+        for v, order in enumerate(orders):
+            elicit_everything(twin, order, v)
+        assert twin.pw_cache != pw and twin.round > rnd
+        assert state.qs == qs
+        assert state.history == history
+        assert (state.round, state.pw_cache) == (rnd, pw)
+        for name, before in arrays.items():
+            assert np.array_equal(getattr(state, name), before), name
+
+
+class TestPolicy:
+    def test_parse_inverts_name(self):
+        for policy in ALL_POLICIES:
+            assert Policy.parse(policy.name) == policy
+        assert Policy.parse("careful-es") == Policy(ES, careful=True)
+
+    def test_parse_unknown_lists_valid_names(self):
+        with pytest.raises(ValueError) as excinfo:
+            Policy.parse("careful-snake")
+        for name in ("es", "random", "careful-es", "careful-random"):
+            assert repr(name) in str(excinfo.value)
 
 
 class TestIsSafe:
@@ -247,3 +281,9 @@ class TestRunElection:
             run_election([LinearOrder([0, 1])], "sneaky", Policy(RANDOM), random.Random(0))
         with pytest.raises(ValueError):
             Policy("greedy")
+
+    def test_twin_only_for_truthful_runs(self):
+        profiles = random_profiles(4, 3, random.Random(37))
+        manip = run_election(profiles, MANIPULATIVE, Policy(RANDOM), random.Random(5))
+        with pytest.raises(ValueError):
+            run_election(profiles, MANIPULATIVE, Policy(RANDOM), random.Random(5), twin=manip)

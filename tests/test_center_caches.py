@@ -2,10 +2,11 @@
 
 A hypothesis state machine feeds a ``CenterState`` random consistent answers
 and, after every step, recomputes each cache from the voters' relations alone
-and compares.  Query selection is compared with a reference copy of the
-original list-walk selector, which rebuilds the pool from scratch every time:
-the same RNG state must give the same query and leave the RNG in the same
-state (one ``randrange`` over the same pool size).
+and compares.  A rule swaps in ``CenterState.copy()``, so the caches of
+copies are checked the same way.  Query selection is compared with a
+reference copy of the original list-walk selector, which rebuilds the pool
+from scratch every time: the same RNG state must give the same query and
+leave the RNG in the same state (one ``randrange`` over the same pool size).
 """
 
 import random
@@ -76,6 +77,11 @@ class CenterCaches(RuleBasedStateMachine):
     @rule(seed=st.integers(0, 2**32))
     def reseed(self, seed):
         self.rng = random.Random(seed)
+
+    @rule()
+    def copy(self):
+        # carry on with a copy; the invariants then check the copy's caches
+        self.state = self.state.copy()
 
     @precondition(lambda self: self.state.unresolved_count() > 0)
     @rule(policy=st.sampled_from(ALL_POLICIES), flip=st.booleans())

@@ -71,6 +71,26 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config)]) == 2
         assert_one_line_error(capsys, "malformed config")
 
+    @pytest.mark.parametrize(
+        "soc, expected",
+        [
+            (None, "cannot read dataset"),
+            (b"3: 1,2,x\n", "malformed dataset"),
+            (b"\xff\xfe3\n", "malformed dataset"),
+        ],
+    )
+    def test_bad_dataset_errors_before_output(self, tmp_path, capsys, soc, expected):
+        dataset = tmp_path / "data.soc"
+        if soc is not None:
+            dataset.write_bytes(soc)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"dataset = {dataset}\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        rc = main(["experiment", "--config", str(config), "--out", str(out_dir)])
+        assert rc == 2
+        assert_one_line_error(capsys, expected)
+        assert not out_dir.exists()
+
 
 class TestOracleCheck:
     def test_agreement_exit_zero(self, capsys):
@@ -104,6 +124,12 @@ class TestBadInput:
     def test_malformed_dataset(self, tmp_path, capsys):
         path = tmp_path / "bad.soc"
         path.write_text("3: 1,2,x\n", encoding="utf-8")
+        assert self.run_with_dataset(path) == 2
+        assert_one_line_error(capsys, "malformed dataset")
+
+    def test_dataset_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.soc"
+        path.write_bytes(b"\xff\xfe3\n")
         assert self.run_with_dataset(path) == 2
         assert_one_line_error(capsys, "malformed dataset")
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from iterborda.center import Policy, run_election
+from iterborda.center import POLICIES, Policy, run_election
 from iterborda.experiment import (
     ExperimentConfig,
     RunRecord,
@@ -16,7 +16,7 @@ from iterborda.experiment import (
     write_records_csv,
     write_summary_csv,
 )
-from iterborda.preflib import bundled, bundled_path
+from iterborda.preflib import bundled, bundled_path, sample_profiles
 from iterborda.voter import MANIPULATIVE, TRUTHFUL
 
 
@@ -148,6 +148,30 @@ class TestRunExperiment:
                 for i in range(first + 1):
                     assert truthful.trace[i].query == manip.trace[i].query
         assert found_manipulation
+
+    @pytest.mark.parametrize("dataset", ["sample7", "sample10"])
+    def test_truthful_twin_resumed_from_fork_equals_scratch_run(self, dataset):
+        ds = bundled(dataset)
+        forks = {True: 0, False: 0}
+        for n in (1, 3, 5, 9):
+            for seed in range(10):
+                profiles = sample_profiles(
+                    ds, n, random.Random(derive_seed("fork-test", dataset, n, seed))
+                )
+                for policy in POLICIES:
+                    run_seed = derive_seed("fork-test", seed, policy.name)
+                    manip = run_election(profiles, MANIPULATIVE, policy, random.Random(run_seed))
+                    resumed = run_election(
+                        profiles, TRUTHFUL, policy, random.Random(run_seed), twin=manip
+                    )
+                    scratch = run_election(profiles, TRUTHFUL, policy, random.Random(run_seed))
+                    forks[manip.fork is not None] += 1
+                    assert (manip.fork is None) == (manip.manipulated_count == 0)
+                    for name in ("winner", "queries_issued", "max_queries", "manipulated_count"):
+                        assert getattr(resumed, name) == getattr(scratch, name), name
+                    assert resumed.trace == scratch.trace
+        # both paths ran: a resumed fork and a twin that never manipulated
+        assert forks[True] and forks[False]
 
 
 class TestSummaries:

@@ -10,9 +10,9 @@ import hashlib
 
 import pytest
 
+from iterborda.center import Policy
 from iterborda.experiment import (
     ExperimentConfig,
-    POLICY_CODES,
     run_experiment,
     summarize,
     write_records_csv,
@@ -21,6 +21,7 @@ from iterborda.experiment import (
 from iterborda.preflib import bundled_path
 from iterborda.voter import BEHAVIORS
 
+POLICIES = [Policy.parse(name) for name in ("es", "random", "careful-es", "careful-random")]
 RECORDS_SHA256 = "1cdd1f7828bc3a26aa859d6e7d01c7873635e5ed91a71ff84dd1e1657e765bc3"
 SUMMARY_SHA256 = "8522cd3e4123f60618061de97050a2af0e90acc703c099e4f3f43a3facbc2eee"
 
@@ -34,7 +35,7 @@ def test_sweep_csv_digests_are_pinned(tmp_path, workers):
     cfg = ExperimentConfig(
         dataset=str(bundled_path("sample7")),
         voter_counts=[4, 9],
-        policies=list(POLICY_CODES.values()),
+        policies=[(p.selector, p.careful) for p in POLICIES],
         behaviors=list(BEHAVIORS),
         profile_sets=2,
         reps_per_set=2,
@@ -42,7 +43,7 @@ def test_sweep_csv_digests_are_pinned(tmp_path, workers):
         workers=workers,
     )
     records = run_experiment(cfg)
-    assert len(records) == 2 * 2 * 2 * len(POLICY_CODES) * len(BEHAVIORS)
+    assert len(records) == 2 * 2 * 2 * len(POLICIES) * len(BEHAVIORS)
     write_records_csv(records, tmp_path / "records.csv")
     write_summary_csv(summarize(records), tmp_path / "summary.csv")
     assert sha256(tmp_path / "records.csv") == RECORDS_SHA256
