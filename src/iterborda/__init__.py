@@ -12,8 +12,6 @@ preferring queries that are provably immune to such rewrites.
 from .borda import (
     borda_scores,
     borda_winner,
-    max_pair_diff,
-    min_pair_diff,
     necessary_winner,
     pair_diff_matrix,
     possible_winners,

@@ -6,6 +6,11 @@ is only bounded; the pairwise score-difference extremes computed here are
 exact over the linear extensions of a single voter's relation, which makes
 the necessary-winner test exact while the possible-winner test is a sound
 polynomial superset of the (NP-hard) exact set.
+
+The pair extremes follow from the score bounds: unless c2 is committed over
+c, the maximum of score(c) - score(c2) is sigma_max(c) - sigma_min(c2), so
+one set of bounds serves both the score midpoints and the pair-difference
+matrix.  Counts and sums are float64, which holds every integer here exactly.
 """
 
 from __future__ import annotations
@@ -34,76 +39,67 @@ def borda_winner(profile: Sequence[LinearOrder]) -> CandidateId:
     return int(np.argmax(borda_scores(profile)))
 
 
+@functools.cache
+def _ones(m: int) -> np.ndarray:
+    """Read-only float64 vector of m ones."""
+    ones = np.ones(m)
+    ones.flags.writeable = False
+    return ones
+
+
 def score_bounds_vectors(q: PartialOrder) -> tuple[np.ndarray, np.ndarray]:
     """Tight Borda score bounds (sigma_min, sigma_max) under ``q``, one entry
     per candidate: 1 plus the candidates committed below it, and m minus the
-    candidates committed above it."""
-    below = q.mat.sum(axis=1)
-    above = q.mat.sum(axis=0)
-    return 1 + below, q.m - above
+    candidates committed above it.
 
-
-def max_pair_diff(q: PartialOrder, c: CandidateId, c2: CandidateId) -> int:
-    """Exact maximum of score(c) - score(c2) over all linear extensions of ``q``.
-
-    When c2 is committed above c, every candidate wedged between them counts
-    against c and the best case is -(1 + #wedged).  Otherwise c can be placed
-    directly above c2 and every candidate free to sit between them adds one.
+    The counts are float64 products of the 0/1 relation with a ones vector,
+    which are cheaper than boolean reductions and exact at these sizes.
     """
-    if c == c2:
-        raise ValueError("candidates must differ")
-    mat = q.mat
-    if mat[c2, c]:
-        wedged = int(np.count_nonzero(mat[c2, :] & mat[:, c]))
-        return -(1 + wedged)
-    free = ~mat[:, c] & ~mat[c2, :]
-    free[c] = False
-    free[c2] = False
-    return 1 + int(np.count_nonzero(free))
+    rel = q.mat.astype(np.float64)
+    ones = _ones(q.m)
+    return 1.0 + rel @ ones, q.m - ones @ rel
 
 
-def min_pair_diff(q: PartialOrder, c: CandidateId, c2: CandidateId) -> int:
-    """Exact minimum of score(c) - score(c2) over all linear extensions of ``q``."""
-    return -max_pair_diff(q, c2, c)
+def pair_diff_matrix(
+    q: PartialOrder, bounds: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Matrix D with D[c, c2] the exact maximum of score(c) - score(c2) over
+    all linear extensions of ``q``; diagonal 0.
 
-
-def pair_diff_matrix(q: PartialOrder) -> np.ndarray:
-    """Matrix D with D[c, c2] = :func:`max_pair_diff`(q, c, c2); diagonal 0.
-
-    Vectorized over all ordered pairs; used by the voting center, which keeps
-    one such matrix per voter and sums them.  Where c2-over-c is open,
-    nothing is committed between c2 and c, and the entry
-    ``m - 1 - |above(c)| - |below(c2)|`` counts c2 plus every candidate free
-    to sit between them.  Where c2 is committed over c the entry is
-    ``-(1 + wedged)``, and the wedged counts come from one matrix product of
-    the 0/1 relation (in floating point, which runs through BLAS and is
-    exact for integer counts this small).
+    ``bounds`` is ``score_bounds_vectors(q)`` when the caller already holds
+    it.  Where c2 is not committed over c, some linear extension ranks c as
+    high and c2 as low as the relation allows, so the entry is
+    sigma_max(c) - sigma_min(c2).  Where c2 is committed over c, every
+    candidate wedged between them counts against c and the entry is
+    ``-(1 + wedged)``; the wedged counts come from one matrix product of the
+    0/1 relation.  Everything is float64 (BLAS), exact for integer counts
+    this small.
     """
+    lo, hi = score_bounds_vectors(q) if bounds is None else bounds
     mat = q.mat
-    m = q.m
     rel = mat.astype(np.float64)
-    # wedged[c2, c] = #x with c2 over x over c
-    wedged = (rel @ rel).astype(np.int64)
-    d = (m - 1) - mat.sum(axis=0)[:, None] - mat.sum(axis=1)
-    d = np.where(mat.T, -1 - wedged.T, d)
-    d.flat[:: m + 1] = 0
+    d = np.subtract.outer(hi, lo)
+    # (rel @ rel)[c2, c] = #x with c2 over x over c
+    np.copyto(d, -1.0 - (rel @ rel).T, where=mat.T)
+    d.flat[:: q.m + 1] = 0.0
     return d
 
 
 @functools.cache
 def _tie_break_threshold(m: int) -> np.ndarray:
-    """Read-only [c, c2] matrix: 1 when c2 beats c on the lexicographic
+    """Read-only float64 [c, c2] matrix: 1 when c2 beats c on the lexicographic
     tie-break (c must then win the pair strictly), else 0; diagonal 0."""
     idx = np.arange(m)
-    thr = (idx[None, :] < idx[:, None]).astype(np.int64)
+    thr = (idx[None, :] < idx[:, None]).astype(np.float64)
     thr.flags.writeable = False
     return thr
 
 
-def possible_winners_from_total(total: np.ndarray) -> frozenset[CandidateId]:
-    """Possible-winner set given the summed max-pair-diff matrix."""
-    ok = total >= _tie_break_threshold(total.shape[0])
-    return frozenset(np.nonzero(ok.all(axis=1))[0].tolist())
+def possible_winners_from_total(total: np.ndarray) -> np.ndarray:
+    """Possible-winner mask given the summed max-pair-diff matrix: entry c
+    is True when c can at least tie (beat, against a rival winning the
+    tie-break) every rival."""
+    return (total >= _tie_break_threshold(total.shape[0])).all(axis=1)
 
 
 def necessary_winner_from_total(total: np.ndarray) -> CandidateId | None:
@@ -117,7 +113,7 @@ def necessary_winner_from_total(total: np.ndarray) -> CandidateId | None:
 
 
 def _summed_diffs(qs: Sequence[PartialOrder]) -> np.ndarray:
-    total = pair_diff_matrix(qs[0]).copy()
+    total = pair_diff_matrix(qs[0])
     for q in qs[1:]:
         total += pair_diff_matrix(q)
     return total
@@ -132,7 +128,7 @@ def possible_winners(qs: Sequence[PartialOrder]) -> set[CandidateId]:
     """
     if not qs:
         raise ValueError("need at least one voter")
-    return set(possible_winners_from_total(_summed_diffs(qs)))
+    return set(np.flatnonzero(possible_winners_from_total(_summed_diffs(qs))).tolist())
 
 
 def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:

@@ -4,13 +4,14 @@ The center knows nothing about the voters beyond their answers.  It keeps one
 transitively closed relation per voter, recomputes the possible-winner set
 after every answer, and stops as soon as a necessary winner exists.
 
-A round costs what the answer touches.  The pairs the closure newly commits
-for the answering voter update a running count of open voters per candidate
-pair and the summed score-bound midpoints the ES heuristic ranks by; only
-that voter's pairwise score-difference matrix is recomputed and swapped into
-the summed matrix.  Query selection maps one draw to a query by a prefix sum
-over the per-pair counts, and the exact necessary-winner test runs only once
-a single possible winner is left, which is when it can first succeed.
+A round makes one pass over the answering voter's new relation: her open
+pairs update a running count of open voters per candidate pair, and her
+score bounds, computed once, move the summed midpoints the ES heuristic
+ranks by and feed her pair-difference matrix, which replaces her old one in
+the summed matrix.  The possible-winner set is rebuilt only when its mask
+moves.  Query selection maps one draw to a query by a prefix sum over the
+per-pair counts, and the exact necessary-winner test runs only once a
+single possible winner is left, which is when it can first succeed.
 """
 
 from __future__ import annotations
@@ -139,8 +140,9 @@ def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]
 class CenterState:
     """Per-voter partial knowledge plus the caches derived from it.
 
-    Every cache is updated from what an answer touches: the pairs its closure
-    newly commits for one voter, and that voter's pair-difference matrix.
+    Every cache is refreshed from the answering voter's new relation alone.
+    The summed pair-difference matrix and midpoints are float64, exact for
+    the integers they hold.
     """
 
     def __init__(self, n: int, m: int):
@@ -152,48 +154,41 @@ class CenterState:
         self.history: list[TraceStep] = []
         self.round = 0
         self._first, self._second, self._es_pools = _pair_layout(m)
-        # flat positions of each pair's two directions in an m x m matrix
+        # flat position of each pair (a < b) in an m x m matrix
         self._upper = self._first * m + self._second
-        self._lower = self._second * m + self._first
         pairs = len(self._first)
         # _open[v, k]: pair k is still open for voter v; _open_count sums over v
         self._open = np.ones((n, pairs), dtype=bool)
         self._open_count = np.full(pairs, n, dtype=np.int64)
-        self._unresolved_total = n * pairs
-        self._diffs = [pair_diff_matrix(q) for q in self.qs]
-        self._total = np.sum(self._diffs, axis=0, dtype=np.int64)
-        # summed sigma_min + sigma_max per candidate (the ES heuristic)
-        self._mid_total = np.sum(
-            [np.add(*score_bounds_vectors(q)) for q in self.qs], axis=0, dtype=np.int64
-        )
+        # per voter: sigma_min + sigma_max per candidate, and the pair-diff
+        # matrix; the summed midpoints rank candidates for the ES heuristic
+        bounds = [score_bounds_vectors(q) for q in self.qs]
+        self._mids = [lo + hi for lo, hi in bounds]
+        self._mid_total = np.sum(self._mids, axis=0)
+        self._diffs = [pair_diff_matrix(q, b) for q, b in zip(self.qs, bounds)]
+        self._total = np.sum(self._diffs, axis=0)
+        self._pw_key = None
         self._set_pw(possible_winners_from_total(self._total))
 
     def copy(self) -> CenterState:
         """An independent copy: answers applied to one leave the other unchanged."""
-        # pw_cache, _safe and the pair layout are replaced, never changed in place
+        # pw_cache, _safe, the per-voter arrays and the pair layout are
+        # replaced, never changed in place
         twin = copy.copy(self)
-        twin.qs, twin._diffs, twin.history = list(self.qs), list(self._diffs), list(self.history)
+        for name in ("qs", "_mids", "_diffs", "history"):
+            setattr(twin, name, list(getattr(self, name)))
         for name in ("_total", "_mid_total", "_open", "_open_count"):
             setattr(twin, name, getattr(self, name).copy())
         return twin
 
-    def _set_pw(self, pw: frozenset[CandidateId]) -> None:
-        """Publish a new possible-winner set and rebuild the safe-pair mask."""
-        self.pw_cache = pw
-        in_pw = np.zeros(self.m, dtype=bool)
-        in_pw[list(pw)] = True
-        self._safe = (in_pw[self._first] & in_pw[self._second]).astype(np.int64)
-
-    def unresolved(self) -> list[Query]:
-        """Every query the center could still usefully ask, in draw order."""
-        return [
-            Query(v, a, b)
-            for a, b, voters in zip(self._first.tolist(), self._second.tolist(), self._open.T)
-            for v in np.nonzero(voters)[0].tolist()
-        ]
-
-    def unresolved_count(self) -> int:
-        return self._unresolved_total
+    def _set_pw(self, mask: np.ndarray) -> None:
+        """Publish the possible winners in ``mask`` and their safe pairs if they moved."""
+        key = mask.tobytes()
+        if key == self._pw_key:
+            return
+        self._pw_key = key
+        self.pw_cache = frozenset(np.flatnonzero(mask).tolist())
+        self._safe = (mask[self._first] & mask[self._second]).astype(np.int64)
 
     def necessary_winner(self) -> CandidateId | None:
         """The necessary winner, or None while it is undecided.
@@ -224,11 +219,10 @@ class CenterState:
         (ascending); one ``randrange`` over the pool size picks the query at
         that position, found by a prefix sum of the per-pair open counts.
         """
-        if self._unresolved_total == 0:
-            raise NoQueriesLeftError("all pairs resolved for all voters")
         # pool[k] is the pair of weights[k]; None means every pair, in order.
         # Pairs without open voters weigh 0, which the prefix sum passes over;
-        # a pool is empty when its prefix sum ends at 0.
+        # a pool is empty when its prefix sum ends at 0, and the full pool is
+        # empty only when every pair is resolved for every voter.
         pool = None
         weights = self._open_count
         ends = None
@@ -245,6 +239,8 @@ class CenterState:
                 weights, ends = safe_weights, safe_ends
         if ends is None:
             ends = weights.cumsum()
+            if not ends[-1]:
+                raise NoQueriesLeftError("all pairs resolved for all voters")
         r = rng.randrange(int(ends[-1]))
         k = int(ends.searchsorted(r, side="right"))
         pair = k if pool is None else int(pool[k])
@@ -268,25 +264,27 @@ class CenterState:
             raise ValueError("response candidates do not match the query")
         v = query.voter
         old = self.qs[v]
-        if old.mat[a, b]:
+        if old.mat.item(a, b):
             raise ValueError("query was already resolved for this voter")
         new = add_preference(old, a, b)  # raises InconsistencyError on conflict
-        committed = new.mat & ~old.mat  # x over y newly committed by the closure
-        flat = committed.ravel()
-        resolved = flat.take(self._upper) | flat.take(self._lower)
-        self._open[v, resolved] = False
-        np.subtract(self._open_count, resolved, out=self._open_count)
-        self._unresolved_total -= int(np.count_nonzero(resolved))
-        # each new x over y raises x's sigma_min and lowers y's sigma_max by one
-        self._mid_total += committed.sum(axis=1) - committed.sum(axis=0)
         self.qs[v] = new
-        fresh = pair_diff_matrix(new)
-        self._total += fresh - self._diffs[v]
+        mat = new.mat
+        settled = (mat | mat.T).take(self._upper)
+        open_v = self._open[v]
+        resolved = open_v & settled  # the pairs this answer settled
+        np.logical_not(settled, out=open_v)
+        np.subtract(self._open_count, resolved, out=self._open_count)
+        bounds = score_bounds_vectors(new)
+        mids = bounds[0] + bounds[1]
+        self._mid_total -= self._mids[v]
+        self._mid_total += mids
+        self._mids[v] = mids
+        fresh = pair_diff_matrix(new, bounds)
+        self._total -= self._diffs[v]
+        self._total += fresh
         self._diffs[v] = fresh
         pw_at_issue = self.pw_cache
-        pw = possible_winners_from_total(self._total)
-        if pw != pw_at_issue:
-            self._set_pw(pw)
+        self._set_pw(possible_winners_from_total(self._total))
         self.history.append(TraceStep(query, (a, b), manipulated, pw_at_issue))
         self.round += 1
 

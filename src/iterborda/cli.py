@@ -7,9 +7,10 @@ Three subcommands:
 * ``oracle-check``: random cross-validation of the fast manipulation search
   against the brute-force reference, nonzero exit on any mismatch.
 
-Bad input (an unreadable or malformed dataset or config, no voters, a
-candidate count outside what the oracle can enumerate) is reported as one
-line on stderr with exit code 2, before any output is written.
+Bad input (an unreadable or malformed dataset or config, a dataset with
+fewer than two candidates, no voters, a candidate count outside what the
+oracle can enumerate) is reported as one line on stderr with exit code 2,
+before any output is written.
 """
 
 from __future__ import annotations
@@ -34,13 +35,17 @@ def _bad_input(message: str) -> int:
 
 
 def _load_dataset(path: str) -> Dataset | None:
-    """The dataset at ``path``, or None once why it cannot be loaded is reported."""
+    """The dataset at ``path``, or None once why it cannot be used is reported."""
     try:
-        return load_soc(path)
+        ds = load_soc(path)
     except OSError as exc:
         _bad_input(f"cannot read dataset {path}: {exc.strerror or exc}")
     except (ParseError, UnicodeDecodeError) as exc:
         _bad_input(f"malformed dataset {path}: {exc}")
+    else:
+        if ds.m >= 2:
+            return ds
+        _bad_input(f"dataset {path} ranks {ds.m} candidate; an election needs at least 2")
     return None
 
 

@@ -15,7 +15,7 @@ and must strictly widen at least one such gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .prefs import (
     CandidateId,
@@ -113,7 +113,7 @@ def precheck(
 def find_manipulation(
     p: LinearOrder,
     q: PartialOrder,
-    pw: Iterable[CandidateId],
+    pw: Collection[CandidateId],
     cj: CandidateId,
     ck: CandidateId,
 ) -> ManipulationOutcome:
@@ -141,10 +141,15 @@ def find_manipulation(
     if not p.prefers(cj, ck):
         raise PreconditionViolationError(f"voter does not rank {cj} above {ck}")
 
-    unchanged = ManipulationOutcome(False, p, 0)
+    if not pw:
+        raise ValueError("possible-winner set must be nonempty")
+    # the precheck reads only the top and bottom possible winners, which a
+    # scan from each end of the ranking finds soonest while the set is large
+    top = next(c for c in p.ranking if c in pw)
+    bottom = next(c for c in reversed(p.ranking) if c in pw)
+    if not precheck(p, (top, bottom), cj, ck):
+        return ManipulationOutcome(False, p, 0)
     pw_ordered = order_pw(p, pw)
-    if not precheck(p, pw_ordered, cj, ck):
-        return unchanged
 
     committed_below_cj = interval_q(q, "below", cj, include_c=True)
     committed_above_ck = interval_q(q, "above", ck, include_c=True)
@@ -179,4 +184,4 @@ def find_manipulation(
 
     if p_loc is not None and d_loc <= d_abs:
         return ManipulationOutcome(True, p_loc, d_loc)
-    return unchanged
+    return ManipulationOutcome(False, p, 0)

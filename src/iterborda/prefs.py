@@ -75,12 +75,6 @@ class PartialOrder:
     def pairs(self) -> set[tuple[CandidateId, CandidateId]]:
         return {(int(a), int(b)) for a, b in np.argwhere(self.mat)}
 
-    def num_pairs(self) -> int:
-        return int(self.mat.sum())
-
-    def is_complete(self) -> bool:
-        return self.num_pairs() == self.m * (self.m - 1) // 2
-
     def unresolved_pairs(self) -> list[tuple[CandidateId, CandidateId]]:
         """All candidate pairs (a < b) with neither direction committed."""
         return [
@@ -110,16 +104,17 @@ def add_preference(q: PartialOrder, a: CandidateId, b: CandidateId) -> PartialOr
     """
     if a == b:
         raise InconsistencyError(f"candidate {a} cannot precede itself")
-    if q.mat[b, a]:
+    mat = q.mat
+    if mat.item(b, a):
         raise InconsistencyError(f"cannot add {a} over {b}: {b} over {a} already committed")
-    if q.mat[a, b]:
+    if mat.item(a, b):
         return q
     # Everything at-or-above a now precedes everything at-or-below b.
-    above_a = q.mat[:, a].copy()
+    above_a = mat[:, a].copy()
     above_a[a] = True
-    below_b = q.mat[b, :].copy()
+    below_b = mat[b, :].copy()
     below_b[b] = True
-    return PartialOrder(q.m, q.mat | np.outer(above_a, below_b))
+    return PartialOrder(q.m, mat | (above_a[:, None] & below_b))
 
 
 def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> PartialOrder:

@@ -11,7 +11,7 @@ itself.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection
 
 from .manipulation import PreconditionViolationError, find_manipulation
 # add_preference is unused here; it stays bound because perfbench/tracer.py patches it by name
@@ -34,7 +34,7 @@ class VoterState:
         cj: CandidateId,
         ck: CandidateId,
         q: PartialOrder,
-        pw: Iterable[CandidateId],
+        pw: Collection[CandidateId],
         behavior: str,
     ) -> tuple[tuple[CandidateId, CandidateId], bool]:
         """Answer a pairwise query, possibly rewriting the current ranking.

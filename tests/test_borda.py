@@ -8,8 +8,6 @@ import pytest
 
 from iterborda.borda import (
     borda_winner,
-    max_pair_diff,
-    min_pair_diff,
     necessary_winner,
     necessary_winner_from_total,
     pair_diff_matrix,
@@ -28,6 +26,28 @@ def lin(*ranking):
 def brute_force_extremes(q, c, c2):
     diffs = [e.rank_of[c2] - e.rank_of[c] for e in enumerate_extensions(q)]
     return max(diffs), min(diffs)
+
+
+def max_pair_diff(q, c, c2):
+    """Reference: exact maximum of score(c) - score(c2) over the linear
+    extensions of ``q``, one pair at a time.
+
+    When c2 is committed above c, every candidate wedged between them counts
+    against c and the best case is -(1 + #wedged).  Otherwise c can be placed
+    directly above c2 and every candidate free to sit between them adds one.
+    """
+    if c == c2:
+        raise ValueError("candidates must differ")
+    mat = q.mat
+    if mat[c2, c]:
+        return -(1 + int(np.count_nonzero(mat[c2, :] & mat[:, c])))
+    free = ~mat[:, c] & ~mat[c2, :]
+    free[c] = free[c2] = False
+    return 1 + int(np.count_nonzero(free))
+
+
+def min_pair_diff(q, c, c2):
+    return -max_pair_diff(q, c2, c)
 
 
 def joint_winner_set(qs):
@@ -78,6 +98,14 @@ class TestScoreBounds:
         assert (lo[0], hi[0]) == (3, 6)
         assert (lo[3], hi[3]) == (1, 5)
 
+    def test_vectors_match_boolean_counts(self):
+        rng = random.Random(31)
+        for m in list(range(2, 31)) * 3:
+            q = random_relation(m, rng)
+            lo, hi = score_bounds_vectors(q)
+            assert lo.tolist() == (1 + q.mat.sum(axis=1)).tolist()
+            assert hi.tolist() == (m - q.mat.sum(axis=0)).tolist()
+
     def test_bounds_always_ordered_and_in_range(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -123,16 +151,17 @@ class TestPairDiffs:
 
     def test_matrix_agrees_with_scalar(self):
         rng = random.Random(6)
-        # small relations, then the candidate counts the benchmark runs
-        sizes = [rng.randint(2, 6) for _ in range(100)] + [10] * 12 + [30] * 4
+        # small relations, every size up to the benchmark's 30, then 10 and 30
+        sizes = [rng.randint(2, 6) for _ in range(100)] + list(range(2, 31))
+        sizes += [10] * 12 + [30] * 4
         for m in sizes:
             q = random_relation(m, rng)
             d = pair_diff_matrix(q)
-            for c in range(m):
-                for c2 in range(m):
-                    if c != c2:
-                        assert d[c, c2] == max_pair_diff(q, c, c2)
-            assert np.all(np.diag(d) == 0)
+            expected = [[0 if c == c2 else max_pair_diff(q, c, c2) for c2 in range(m)]
+                        for c in range(m)]
+            assert d.tolist() == expected
+            # the bounds a caller already holds give the same matrix
+            assert np.array_equal(pair_diff_matrix(q, score_bounds_vectors(q)), d)
 
     def test_max_at_least_min(self):
         rng = random.Random(7)
@@ -179,7 +208,8 @@ class TestWinnersFromTotal:
                 # arbitrary integer matrices, dense with ties at 0 and +-1
                 total = np_rng.integers(-2, 3, (m, m))
                 np.fill_diagonal(total, 0)
-            assert possible_winners_from_total(total) == where_possible_winners(total)
+            mask = possible_winners_from_total(total)
+            assert frozenset(np.flatnonzero(mask).tolist()) == where_possible_winners(total)
             assert necessary_winner_from_total(total) == where_necessary_winner(total)
 
 

@@ -19,6 +19,8 @@ from iterborda.center import (
 from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
+from center_helpers import unresolved
+
 ALL_POLICIES = [Policy(sel, careful) for sel in (ES, RANDOM) for careful in (False, True)]
 
 
@@ -40,14 +42,14 @@ def elicit_everything(state, order, voter):
 class TestCenterState:
     def test_fresh_unresolved_count(self):
         state = CenterState(n=4, m=5)
-        assert state.unresolved_count() == 4 * 10
-        assert len(state.unresolved()) == 40
+        assert state._open_count.sum() == 4 * 10
+        assert len(unresolved(state)) == 40
 
     def test_closure_resolves_queries(self):
         state = CenterState(n=1, m=3)
         state.apply_response(Query(0, 0, 1), (0, 1))
         state.apply_response(Query(0, 1, 2), (1, 2))
-        assert state.unresolved_count() == 0  # (0,2) inferred
+        assert len(unresolved(state)) == 0  # (0,2) inferred
         assert state.qs[0] == close({(0, 1), (1, 2)}, 3)
 
     def test_complete_state_has_no_queries(self):
@@ -55,7 +57,7 @@ class TestCenterState:
         rng = random.Random(0)
         for v, order in enumerate(random_profiles(3, 2, rng)):
             elicit_everything(state, order, v)
-        assert state.unresolved_count() == 0
+        assert len(unresolved(state)) == 0
         with pytest.raises(NoQueriesLeftError):
             state.select_query(Policy(RANDOM), rng)
 
@@ -152,7 +154,7 @@ class TestSelectQuery:
         state.apply_response(Query(0, 0, 1), (0, 1))
         state.apply_response(Query(0, 0, 2), (2, 0))
         # only (1,2)... wait: 2>0>1 leaves (1,2) resolved by closure?
-        remaining = state.unresolved()
+        remaining = unresolved(state)
         assert len(remaining) <= 1
         if remaining:
             rng = random.Random(0)
@@ -179,7 +181,7 @@ class TestSelectQuery:
         pw = state.pw_cache
         if len(pw) >= 2:
             safe_exists = any(
-                is_safe(q, pw) for q in state.unresolved()
+                is_safe(q, pw) for q in unresolved(state)
             )
             for policy in (Policy(ES, careful=True), Policy(RANDOM, careful=True)):
                 q = state.select_query(policy, rng)
@@ -194,7 +196,7 @@ class TestSelectQuery:
         pw = state.pw_cache
         rng = random.Random(9)
         q = state.select_query(Policy(RANDOM, careful=True), rng)
-        assert q in state.unresolved()
+        assert q in unresolved(state)
 
     def test_selection_is_deterministic_given_seed(self):
         state = CenterState(n=4, m=5)

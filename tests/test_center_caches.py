@@ -2,14 +2,17 @@
 
 A hypothesis state machine feeds a ``CenterState`` random consistent answers
 and, after every step, recomputes each cache from the voters' relations alone
-and compares.  A rule swaps in ``CenterState.copy()``, so the caches of
+and compares.  It stays at m <= 7; a deterministic replay of manipulative
+elections at m = 30 checks the same caches at every round.  A rule swaps in ``CenterState.copy()``, so the caches of
 copies are checked the same way.  Query selection is compared with a
 reference copy of the original list-walk selector, which rebuilds the pool
 from scratch every time: the same RNG state must give the same query and
 leave the RNG in the same state (one ``randrange`` over the same pool size).
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
@@ -17,7 +20,19 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from iterborda import borda
-from iterborda.center import ES, CenterState, NoQueriesLeftError, Policy, Query
+from iterborda.center import (
+    ES,
+    POLICIES,
+    CenterState,
+    NoQueriesLeftError,
+    Policy,
+    Query,
+    run_election,
+)
+from iterborda.preflib import sample_profiles
+from iterborda.voter import MANIPULATIVE, VoterState
+
+from center_helpers import unresolved
 
 ALL_POLICIES = [Policy(sel, careful) for sel in ("es", "random") for careful in (False, True)]
 
@@ -34,10 +49,20 @@ def reference_pair_voters(qs):
 
 
 def reference_mid_total(qs):
-    return sum(
-        (smin + smax).astype(np.int64)
-        for smin, smax in (borda.score_bounds_vectors(q) for q in qs)
-    )
+    """Summed sigma_min + sigma_max, counted from the boolean relations."""
+    m = qs[0].m
+    return sum(1 + q.mat.sum(axis=1) + m - q.mat.sum(axis=0) for q in qs)
+
+
+def assert_total_matches(state):
+    expected = sum(borda.pair_diff_matrix(q).astype(np.int64) for q in state.qs)
+    assert np.array_equal(state._total, expected)
+
+
+def reference_open_counts(qs):
+    """Open voters per (a < b) pair, in lexicographic pair order."""
+    upper = np.triu_indices(qs[0].m, 1)
+    return sum((~(q.mat | q.mat.T))[upper].astype(np.int64) for q in qs).tolist()
 
 
 def reference_select(qs, policy, rng):
@@ -83,16 +108,16 @@ class CenterCaches(RuleBasedStateMachine):
         # carry on with a copy; the invariants then check the copy's caches
         self.state = self.state.copy()
 
-    @precondition(lambda self: self.state.unresolved_count() > 0)
+    @precondition(lambda self: self.state._open.any())
     @rule(policy=st.sampled_from(ALL_POLICIES), flip=st.booleans())
     def answer_selected_query(self, policy, flip):
         query = self.state.select_query(policy, self.rng)
         self._answer(query, flip)
 
-    @precondition(lambda self: self.state.unresolved_count() > 0)
+    @precondition(lambda self: self.state._open.any())
     @rule(data=st.data(), flip=st.booleans())
     def answer_any_open_query(self, data, flip):
-        query = data.draw(st.sampled_from(self.state.unresolved()))
+        query = data.draw(st.sampled_from(unresolved(self.state)))
         self._answer(query, flip)
 
     def _answer(self, query, flip):
@@ -102,8 +127,7 @@ class CenterCaches(RuleBasedStateMachine):
 
     @invariant()
     def total_matches_recomputation(self):
-        expected = sum(borda.pair_diff_matrix(q).astype(np.int64) for q in self.state.qs)
-        assert np.array_equal(self.state._total, expected)
+        assert_total_matches(self.state)
 
     @invariant()
     def winners_match_recomputation(self):
@@ -115,9 +139,9 @@ class CenterCaches(RuleBasedStateMachine):
     def unresolved_matches_recomputation(self):
         pair_voters = reference_pair_voters(self.state.qs)
         expected = [Query(v, a, b) for (a, b), vs in pair_voters.items() for v in vs]
-        assert self.state.unresolved() == expected
-        assert self.state.unresolved_count() == len(expected)
+        assert unresolved(self.state) == expected
         assert self.state._open_count.tolist() == [len(vs) for vs in pair_voters.values()]
+        assert self.state._open_count.tolist() == reference_open_counts(self.state.qs)
 
     @invariant()
     def midpoints_match_recomputation(self):
@@ -144,3 +168,41 @@ CenterCaches.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestCenterCaches = CenterCaches.TestCase
+
+
+def mallows30():
+    """The fixed m = 30 Mallows population the benchmark's large workload
+    samples from (200 draws, phi 0.9, seed 30)."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "make_sample_data.py"
+    spec = importlib.util.spec_from_file_location("make_sample_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_sample("mallows30", 30, 200, 0.9, 30)
+
+
+def test_replay_m30_checks_caches_every_round():
+    ds = mallows30()
+    manipulations = 0
+    for k, policy in enumerate(POLICIES):
+        profiles = sample_profiles(ds, 5, random.Random(100 + k))
+        seed = 200 + k
+        voters = [VoterState(p) for p in profiles]
+        state = CenterState(5, 30)
+        rng = random.Random(seed)
+        while state.necessary_winner() is None:
+            query = state.select_query(policy, rng)
+            q = state.qs[query.voter]
+            answer, manipulated = voters[query.voter].respond(
+                query.cj, query.ck, q, state.pw_cache, MANIPULATIVE
+            )
+            state.apply_response(query, answer, manipulated)
+            qs = state.qs
+            assert_total_matches(state)
+            assert np.array_equal(state._mid_total, reference_mid_total(qs))
+            assert state.pw_cache == frozenset(borda.possible_winners(qs))
+            assert state._open_count.tolist() == reference_open_counts(qs)
+        # the replay is the election run_election runs
+        result = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
+        assert result.trace == state.history
+        manipulations += result.manipulated_count
+    assert manipulations > 0

@@ -77,6 +77,7 @@ class TestExperiment:
             (None, "cannot read dataset"),
             (b"3: 1,2,x\n", "malformed dataset"),
             (b"\xff\xfe3\n", "malformed dataset"),
+            (b"1: 1\n", "an election needs at least 2"),
         ],
     )
     def test_bad_dataset_errors_before_output(self, tmp_path, capsys, soc, expected):
@@ -132,6 +133,12 @@ class TestBadInput:
         path.write_bytes(b"\xff\xfe3\n")
         assert self.run_with_dataset(path) == 2
         assert_one_line_error(capsys, "malformed dataset")
+
+    def test_single_candidate_dataset(self, tmp_path, capsys):
+        path = tmp_path / "one.soc"
+        path.write_text("1: 1\n", encoding="utf-8")
+        assert self.run_with_dataset(path) == 2
+        assert_one_line_error(capsys, "ranks 1 candidate; an election needs at least 2")
 
     def test_no_voters(self, capsys):
         rc = main([

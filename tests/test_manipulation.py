@@ -101,6 +101,21 @@ class TestPrecheck:
         assert precheck(p, order_pw(p, {1, 2}), 0, 3)
 
 
+    def test_ends_decide_like_the_ordered_vector(self):
+        # find_manipulation prechecks on the (top, bottom) possible winners only
+        rng = random.Random(43)
+        for _ in range(3000):
+            m = rng.randint(2, 30)
+            p = LinearOrder(rng.sample(range(m), m))
+            pw = set(rng.sample(range(m), rng.randint(1, m)))
+            cj, ck = sorted(rng.sample(range(m), 2), key=p.rank_of.__getitem__)
+            ordered = order_pw(p, pw)
+            rank = p.rank_of.__getitem__
+            ends = (min(pw, key=rank), max(pw, key=rank))
+            assert ends == (ordered[0], ordered[-1])
+            assert precheck(p, ends, cj, ck) == precheck(p, ordered, cj, ck)
+
+
 class TestFindManipulation:
     def test_toy_example(self):
         out = find_manipulation(TOY_P, PartialOrder(3), TOY_PW, 0, 1)

@@ -36,6 +36,21 @@ def random_consistent_relation(p, rng, k=None):
     return close(rng.sample(pairs, k), p.m)
 
 
+def floyd_warshall(pairs, m):
+    """Reference transitive closure of ``pairs``, or None when they hold a cycle."""
+    reach = [[False] * m for _ in range(m)]
+    for a, b in pairs:
+        reach[a][b] = True
+    for k in range(m):
+        for i in range(m):
+            if reach[i][k]:
+                for j in range(m):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    if any(reach[i][i] for i in range(m)):
+        return None
+    return {(i, j) for i in range(m) for j in range(m) if reach[i][j]}
+
+
 class TestLinearOrder:
     def test_rank_of_inverts_ranking(self):
         for pos, c in enumerate(P.ranking):
@@ -105,6 +120,23 @@ class TestAddPreference:
             a, b = b, a
         q2 = add_preference(q, a, b)
         assert is_extension(p, q2)
+
+
+    def test_matches_floyd_warshall(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for m in list(range(2, 31)) * 2:
+            q = random_consistent_relation(LinearOrder(rng.sample(range(m), m)), rng)
+            for _ in range(3):
+                a, b = rng.sample(range(m), 2)
+                expected = floyd_warshall(q.pairs() | {(a, b)}, m)
+                if expected is None:  # b over a is committed, so a over b closes a cycle
+                    with pytest.raises(InconsistencyError):
+                        add_preference(q, a, b)
+                else:
+                    assert add_preference(q, a, b).pairs() == expected
+                outcomes.add(expected is None)
+        assert outcomes == {False, True}
 
 
 class TestSwapDistance:

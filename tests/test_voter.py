@@ -37,7 +37,7 @@ class TestTruthful:
             answer, _ = vs.respond(a, b, q, {0, 1}, TRUTHFUL)
             state.apply_response(Query(0, a, b), answer)
         assert vs.p_current == vs.p_true == p
-        assert state.qs[0].is_complete()
+        assert not state.qs[0].unresolved_pairs()  # complete
 
 
 class TestManipulative:
@@ -108,7 +108,7 @@ class TestManipulative:
                 assert is_extension(vs.p_current, state.qs[0])
                 if manipulated:
                     assert project(vs.p_current, pw) == project(before, pw)
-            assert state.qs[0].is_complete()
+            assert not state.qs[0].unresolved_pairs()  # complete
 
     def test_current_order_always_extends_mirror(self):
         rng = random.Random(13)
