@@ -50,7 +50,6 @@ from .prefs import (
     PartialOrder,
     add_preference,
     close,
-    interval_q,
     is_extension,
     project,
     swap_distance,

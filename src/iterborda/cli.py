@@ -9,8 +9,8 @@ Three subcommands:
 
 Bad input (an unreadable or malformed dataset or config, a dataset with
 fewer than two candidates, no voters, a candidate count outside what the
-oracle can enumerate) is reported as one line on stderr with exit code 2,
-before any output is written.
+oracle can enumerate, fewer than one oracle instance) is reported as one
+line on stderr with exit code 2, before any output is written.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if not 2 <= args.m <= DEFAULT_CAP:
         return _bad_input(f"--m must be between 2 and {DEFAULT_CAP}, got {args.m}")
+    if args.instances < 1:
+        return _bad_input(f"--instances must be at least 1, got {args.instances}")
     rng = random.Random(args.seed)
     for i in range(args.instances):
         p, q, pw, cj, ck = random_instance(args.m, rng)

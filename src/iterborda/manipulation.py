@@ -10,6 +10,11 @@ Local dominance is decided purely positionally against the ordered vector of
 possible winners: the replacement must keep the possible winners in the same
 relative order, must not shrink any gap between consecutive possible winners,
 and must strictly widen at least one such gap.
+
+One search costs O(m) for m candidates, plus O(m log m) per ranking it
+builds: the swap distance of every candidate rewrite follows from running
+counts of committed candidates in two blocks, and a ranking is built only for
+the rewrites at the smallest distance.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .prefs import (
-    CandidateId,
-    LinearOrder,
-    PartialOrder,
-    interval_q,
-    swap_distance,
-)
+from .prefs import CandidateId, LinearOrder, PartialOrder, swap_distance
 
 
 class PreconditionViolationError(ValueError):
@@ -92,22 +91,15 @@ def precheck(
 ) -> bool:
     """Positional feasibility test for manipulating the query (cj, ck).
 
-    A minimal locally dominant rewrite can exist only if cj sits above the top
-    possible winner and/or ck below the bottom one, with the other endpoint no
-    deeper than the possible-winner span.  Queries with both candidates inside
-    the span, both above it, or both below it are hopeless and skipped.
+    A minimal locally dominant rewrite can exist only if the query straddles
+    an end of the possible-winner span: cj above the top possible winner with
+    ck at or below it, or ck below the bottom one with cj at or above it.
+    Queries with both candidates inside the span, both above it, or both
+    below it are hopeless and skipped.
     """
-    pw_top, pw_bottom = pw_ordered[0], pw_ordered[-1]
-    cj_above = p.prefers(cj, pw_top)
-    ck_below = p.prefers(pw_bottom, ck)
-    if cj_above and ck_below:
-        return True
-    in_span = lambda c: p.rank_of[pw_top] <= p.rank_of[c] <= p.rank_of[pw_bottom]
-    if cj_above and in_span(ck):
-        return True
-    if ck_below and in_span(cj):
-        return True
-    return False
+    rank = p.rank_of
+    lo, hi = rank[cj], rank[ck]
+    return lo < rank[pw_ordered[0]] <= hi or lo <= rank[pw_ordered[-1]] < hi
 
 
 def find_manipulation(
@@ -121,67 +113,89 @@ def find_manipulation(
 
     Expects the protocol invariants to hold: ``p`` extends ``q``, ``p`` ranks
     cj above ck, and neither direction of the queried pair is committed in
-    ``q``.  For each pivot between ck and cj the unique candidate rewrite that
-    flips the pair at that split point while honouring ``q`` is constructed:
+    ``q``.  Let B be the candidates strictly between cj and ck in ``p``, PB
+    those committed below cj and CA those committed above ck (disjoint, or
+    cj over ck would be committed).  A pivot splits B into its upper part T
+    and lower part U, and the unique rewrite that flips the pair there while
+    honouring ``q`` is
 
-        (top_keep, pull_above, ck, cj, push_below, tail_keep)
+        (above cj, T - PB, U & CA, ck, cj, T & PB, U - CA, below ck)
 
-    where candidates above the pivot stay on top unless committed below cj
-    (``push_below``), and candidates from the pivot down stay at the bottom
-    unless committed above ck (``pull_above``); each block keeps its internal
-    ``p`` order.  Across pivots this enumerates every consistent rewrite of
-    minimal swap distance.  The closest rewrite overall is returned when it is
-    locally dominant (scanning pivots upward from ck, first hit wins ties);
-    otherwise the voter keeps her current ranking.
+    with each block in its ``p`` order.  Its swap distance from ``p`` is
+
+        1 + |B| + inv(T) + inv(U) + |T & PB| * |U & CA|
+
+    where inv(T) counts PB members of T ranked above non-PB members of T and
+    inv(U) counts non-CA members of U ranked above CA members of U.  Across
+    pivots this enumerates every consistent rewrite of minimal swap distance.
+    Moving the pivot up from ck one rank moves one candidate from T to U and
+    updates every term in O(1), so all distances cost O(m).  A ranking is
+    built, in O(m log m), only at the pivots of smallest distance, scanned
+    upward from ck; the first locally dominant one is adopted.  If none is,
+    the voter keeps her current ranking.
     """
-    if q.holds(cj, ck) or q.holds(ck, cj):
+    mat = q.mat
+    if mat.item(cj, ck) or mat.item(ck, cj):
         raise PreconditionViolationError(
             f"queried pair ({cj}, {ck}) is already committed"
         )
-    if not p.prefers(cj, ck):
+    rank = p.rank_of
+    lo, hi = rank[cj], rank[ck]
+    if lo >= hi:
         raise PreconditionViolationError(f"voter does not rank {cj} above {ck}")
 
     if not pw:
         raise ValueError("possible-winner set must be nonempty")
     # the precheck reads only the top and bottom possible winners, which a
     # scan from each end of the ranking finds soonest while the set is large
-    top = next(c for c in p.ranking if c in pw)
-    bottom = next(c for c in reversed(p.ranking) if c in pw)
+    ranking = p.ranking
+    top = next(c for c in ranking if c in pw)
+    bottom = next(c for c in reversed(ranking) if c in pw)
     if not precheck(p, (top, bottom), cj, ck):
         return ManipulationOutcome(False, p, 0)
     pw_ordered = order_pw(p, pw)
 
-    committed_below_cj = interval_q(q, "below", cj, include_c=True)
-    committed_above_ck = interval_q(q, "above", ck, include_c=True)
+    in_pb = mat[cj].tolist()
+    in_ca = mat[:, ck].tolist()
+    between = ranking[lo + 1 : hi]
+    # the first pivot sits at ck: T is all of B and U is empty
+    t_pb = inv_t = 0
+    for c in between:
+        if in_pb[c]:
+            t_pb += 1
+        else:
+            inv_t += t_pb
+    u_ca = inv_u = 0
+    base = 1 + len(between)
+    dists = [base + inv_t]
+    for x in reversed(between):
+        # x, the lowest member of T, becomes the highest member of U
+        if in_pb[x]:
+            t_pb -= 1
+        else:
+            inv_t -= t_pb
+        if in_ca[x]:
+            u_ca += 1
+        else:
+            inv_u += u_ca
+        dists.append(base + inv_t + inv_u + t_pb * u_ca)
 
-    d_abs = None
-    d_loc = None
-    p_loc = None
-    # pivot positions from ck upward to cj, both inclusive
-    for pos in range(p.rank_of[ck], p.rank_of[cj] - 1, -1):
-        pivot_rank = pos
-        top_keep, pull_above, push_below, tail_keep = [], [], [], []
-        for c in p.ranking:
-            if c == cj or c == ck:
-                continue
-            if p.rank_of[c] < pivot_rank:
-                if c in committed_below_cj:
-                    push_below.append(c)
-                else:
-                    top_keep.append(c)
-            else:
-                if c in committed_above_ck:
-                    pull_above.append(c)
-                else:
-                    tail_keep.append(c)
-        candidate = LinearOrder(top_keep + pull_above + [ck, cj] + push_below + tail_keep)
-        d = swap_distance(p, candidate)
-        if d_abs is None or d < d_abs:
-            d_abs = d
-        if (d_loc is None or d < d_loc) and is_locally_dominant(candidate, p, pw_ordered):
-            d_loc = d
-            p_loc = candidate
-
-    if p_loc is not None and d_loc <= d_abs:
-        return ManipulationOutcome(True, p_loc, d_loc)
+    d_abs = min(dists)
+    head, tail = ranking[:lo], ranking[hi + 1 :]
+    split = len(between)
+    for d in dists:
+        if d == d_abs:
+            upper, lower = between[:split], between[split:]
+            candidate = LinearOrder(
+                head
+                + tuple(c for c in upper if not in_pb[c])
+                + tuple(c for c in lower if in_ca[c])
+                + (ck, cj)
+                + tuple(c for c in upper if in_pb[c])
+                + tuple(c for c in lower if not in_ca[c])
+                + tail
+            )
+            if is_locally_dominant(candidate, p, pw_ordered):
+                return ManipulationOutcome(True, candidate, swap_distance(p, candidate))
+        split -= 1
     return ManipulationOutcome(False, p, 0)

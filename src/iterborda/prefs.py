@@ -143,22 +143,6 @@ def swap_distance(p: LinearOrder, p2: LinearOrder) -> int:
     return d
 
 
-def interval_q(
-    q: PartialOrder, side: str, c: CandidateId, include_c: bool = True
-) -> set[CandidateId]:
-    """Candidates committed above or below ``c`` in ``q`` (optionally plus ``c``)."""
-    if side == "above":
-        found = np.flatnonzero(q.mat[:, c])
-    elif side == "below":
-        found = np.flatnonzero(q.mat[c, :])
-    else:
-        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    out = {int(x) for x in found}
-    if include_c:
-        out.add(c)
-    return out
-
-
 def project(p: LinearOrder, t: Iterable[CandidateId]) -> tuple[CandidateId, ...]:
     """The members of ``t`` listed in descending ``p`` order."""
     t = set(t)

@@ -49,15 +49,16 @@ class VoterState:
         """
         if behavior not in BEHAVIORS:
             raise ValueError(f"unknown behavior {behavior!r}")
-        if q.holds(cj, ck) or q.holds(ck, cj):
-            raise PreconditionViolationError(
-                f"query ({cj}, {ck}) already resolved for this voter"
-            )
 
         preferred, other = (cj, ck) if self.p_current.prefers(cj, ck) else (ck, cj)
         if behavior == MANIPULATIVE:
+            # find_manipulation rejects an already resolved pair itself
             outcome = find_manipulation(self.p_current, q, pw, preferred, other)
             if outcome.changed:
                 self.p_current = outcome.new_order
                 return (other, preferred), True
+        elif q.mat.item(cj, ck) or q.mat.item(ck, cj):
+            raise PreconditionViolationError(
+                f"query ({cj}, {ck}) already resolved for this voter"
+            )
         return (preferred, other), False

@@ -152,3 +152,8 @@ class TestBadInput:
     def test_oracle_candidate_count_out_of_range(self, capsys, m):
         assert main(["oracle-check", "--m", m, "--instances", "5"]) == 2
         assert_one_line_error(capsys, f"--m must be between 2 and 8, got {m}")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_oracle_no_instances(self, capsys, n):
+        assert main(["oracle-check", "--m", "5", "--instances", n]) == 2
+        assert_one_line_error(capsys, f"--instances must be at least 1, got {n}")

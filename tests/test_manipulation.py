@@ -1,7 +1,9 @@
 """Tests for local dominance, the feasibility precheck, and the rewrite search."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from iterborda.manipulation import (
@@ -21,7 +23,91 @@ from iterborda.prefs import (
     close,
     is_extension,
     project,
+    swap_distance,
 )
+
+
+def reference_precheck(p, pw_ordered, cj, ck):
+    """Three-case form of ``precheck``: cj above the span and ck below it,
+    or one of them outside the span and the other inside it."""
+    pw_top, pw_bottom = pw_ordered[0], pw_ordered[-1]
+    cj_above = p.prefers(cj, pw_top)
+    ck_below = p.prefers(pw_bottom, ck)
+    if cj_above and ck_below:
+        return True
+    in_span = lambda c: p.rank_of[pw_top] <= p.rank_of[c] <= p.rank_of[pw_bottom]
+    if cj_above and in_span(ck):
+        return True
+    if ck_below and in_span(cj):
+        return True
+    return False
+
+
+def reference_find_manipulation(p, q, pw, cj, ck):
+    """Pivot-by-pivot form of ``find_manipulation``: builds every pivot's
+    rewrite as a ranking and measures it with ``swap_distance``, O(m^3) a call."""
+    if q.holds(cj, ck) or q.holds(ck, cj):
+        raise PreconditionViolationError(f"queried pair ({cj}, {ck}) is already committed")
+    if not p.prefers(cj, ck):
+        raise PreconditionViolationError(f"voter does not rank {cj} above {ck}")
+    pw_ordered = order_pw(p, pw)
+    if not reference_precheck(p, pw_ordered, cj, ck):
+        return ManipulationOutcome(False, p, 0)
+
+    committed_below_cj = {int(c) for c in np.flatnonzero(q.mat[cj])} | {cj}
+    committed_above_ck = {int(c) for c in np.flatnonzero(q.mat[:, ck])} | {ck}
+
+    d_abs = None
+    d_loc = None
+    p_loc = None
+    # pivot positions from ck upward to cj, both inclusive
+    for pivot_rank in range(p.rank_of[ck], p.rank_of[cj] - 1, -1):
+        top_keep, pull_above, push_below, tail_keep = [], [], [], []
+        for c in p.ranking:
+            if c == cj or c == ck:
+                continue
+            if p.rank_of[c] < pivot_rank:
+                if c in committed_below_cj:
+                    push_below.append(c)
+                else:
+                    top_keep.append(c)
+            else:
+                if c in committed_above_ck:
+                    pull_above.append(c)
+                else:
+                    tail_keep.append(c)
+        candidate = LinearOrder(top_keep + pull_above + [ck, cj] + push_below + tail_keep)
+        d = swap_distance(p, candidate)
+        if d_abs is None or d < d_abs:
+            d_abs = d
+        if (d_loc is None or d < d_loc) and is_locally_dominant(candidate, p, pw_ordered):
+            d_loc = d
+            p_loc = candidate
+
+    if p_loc is not None and d_loc <= d_abs:
+        return ManipulationOutcome(True, p_loc, d_loc)
+    return ManipulationOutcome(False, p, 0)
+
+
+def random_case(rng, m):
+    """A random (p, q, pw, cj, ck) whose relation ``q`` has a random density,
+    from nearly empty to nearly complete; None when ``q`` left no pair open."""
+    p = LinearOrder(rng.sample(range(m), m))
+    density = rng.random() ** 2
+    mat = np.zeros((m, m), dtype=bool)
+    for i, a in enumerate(p.ranking):
+        for b in p.ranking[i + 1 :]:
+            mat[a, b] = rng.random() < density
+    for k in range(m):  # Warshall's transitive closure
+        mat |= np.outer(mat[:, k], mat[k])
+    q = PartialOrder(m, mat)
+    open_pairs = q.unresolved_pairs()
+    if not open_pairs:
+        return None
+    cj, ck = sorted(rng.choice(open_pairs), key=p.rank_of.__getitem__)
+    pw = set(rng.sample(range(m), rng.randint(1, m)))
+    return p, q, pw, cj, ck
+
 
 # toy election from the walk-through: voter ranks c1 > c2 > c3 (ids 0 > 1 > 2),
 # possible winners are {c2, c3}, and the query asks c1 vs c2
@@ -115,6 +201,25 @@ class TestPrecheck:
             assert ends == (ordered[0], ordered[-1])
             assert precheck(p, ends, cj, ck) == precheck(p, ordered, cj, ck)
 
+    def test_matches_reference_exhaustively(self):
+        # every possible-winner set and ordered query pair, both orientations,
+        # under every ranking for m <= 5 and three for m = 6 (precheck reads
+        # ranks only, so any one ranking already covers every configuration)
+        for m in range(2, 7):
+            if m <= 5:
+                rankings = itertools.permutations(range(m))
+            else:
+                rankings = [range(m), reversed(range(m)), (3, 0, 5, 1, 4, 2)]
+            for ranking in rankings:
+                p = LinearOrder(ranking)
+                for size in range(1, m + 1):
+                    for pw in itertools.combinations(range(m), size):
+                        ordered = order_pw(p, pw)
+                        for cj, ck in itertools.permutations(range(m), 2):
+                            assert precheck(p, ordered, cj, ck) == reference_precheck(
+                                p, ordered, cj, ck
+                            ), (p, pw, cj, ck)
+
 
 class TestFindManipulation:
     def test_toy_example(self):
@@ -182,3 +287,17 @@ class TestFindManipulation:
             slow = oracle_manipulation(p, q, pw, cj, ck)
             assert fast.changed == slow.changed
             assert fast.distance == slow.distance
+
+    def test_matches_reference_search(self):
+        rng = random.Random(47)
+        compared = changed = 0
+        while compared < 20000:
+            case = random_case(rng, rng.randint(2, 30))
+            if case is None:
+                continue
+            p, q, pw, cj, ck = case
+            fast = find_manipulation(p, q, pw, cj, ck)
+            assert fast == reference_find_manipulation(p, q, pw, cj, ck), case
+            compared += 1
+            changed += fast.changed
+        assert changed > 1000  # the sweep must actually exercise rewrites

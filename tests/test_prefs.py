@@ -13,7 +13,6 @@ from iterborda.prefs import (
     PartialOrder,
     add_preference,
     close,
-    interval_q,
     is_extension,
     project,
     swap_distance,
@@ -176,23 +175,6 @@ class TestSwapDistance:
         assert dab == swap_distance(b, a)
         assert (dab == 0) == (a == b)
         assert dab <= swap_distance(a, c) + swap_distance(c, b)
-
-
-class TestIntervalQ:
-    Q = close({(0, 1), (1, 2)}, 3)
-
-    def test_below_exclusive(self):
-        assert interval_q(self.Q, "below", 0, include_c=False) == {1, 2}
-
-    def test_above_inclusive_empty_relation(self):
-        assert interval_q(PartialOrder(3), "above", 1) == {1}
-
-    def test_above_inclusive(self):
-        assert interval_q(self.Q, "above", 2) == {0, 1, 2}
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            interval_q(self.Q, "sideways", 0)
 
 
 class TestProject:
