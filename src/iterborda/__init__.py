@@ -9,61 +9,26 @@ ever contradicting her earlier answers.  A careful center counters by
 preferring queries that are provably immune to such rewrites.
 """
 
-from .borda import (
-    borda_scores,
-    borda_winner,
-    necessary_winner,
-    pair_diff_matrix,
-    possible_winners,
-)
-from .center import (
-    CenterState,
-    ElectionResult,
-    NoQueriesLeftError,
-    Policy,
-    Query,
-    TraceInvariantError,
-    TraceStep,
-    is_safe,
-    run_election,
-)
-from .manipulation import (
-    ManipulationOutcome,
-    PreconditionViolationError,
-    find_manipulation,
-    is_locally_dominant,
-    order_pw,
-    precheck,
-    segment_total,
-)
-from .oracle import (
-    CapExceededError,
-    closest_extensions,
-    enumerate_extensions,
-    oracle_manipulation,
-    random_instance,
-)
-from .prefs import (
-    CandidateId,
-    InconsistencyError,
-    LinearOrder,
-    PartialOrder,
-    add_preference,
-    close,
-    is_extension,
-    project,
-    swap_distance,
-)
-from .preflib import (
-    Dataset,
-    ParseError,
-    bundled,
-    bundled_path,
-    load_soc,
-    parse_soc,
-    sample_profiles,
-    serialize_soc,
-)
-from .voter import BEHAVIORS, MANIPULATIVE, TRUTHFUL, VoterState
+from .center import Policy, is_safe, run_election
+from .manipulation import find_manipulation, is_locally_dominant, order_pw, segment_total
+from .oracle import oracle_manipulation
+from .preflib import bundled, bundled_path, sample_profiles
+from .prefs import LinearOrder, PartialOrder, swap_distance
 
+__all__ = [
+    "LinearOrder",
+    "PartialOrder",
+    "Policy",
+    "bundled",
+    "bundled_path",
+    "find_manipulation",
+    "is_locally_dominant",
+    "is_safe",
+    "oracle_manipulation",
+    "order_pw",
+    "run_election",
+    "sample_profiles",
+    "segment_total",
+    "swap_distance",
+]
 __version__ = "0.1.0"

@@ -23,20 +23,15 @@ import numpy as np
 from .prefs import CandidateId, LinearOrder, PartialOrder
 
 
-def borda_scores(profile: Sequence[LinearOrder]) -> np.ndarray:
-    """Total Borda score per candidate over a complete profile."""
-    m = profile[0].m
-    scores = np.zeros(m, dtype=np.int64)
-    for p in profile:
-        scores += m - np.asarray(p.rank_of)
-    return scores
-
-
 def borda_winner(profile: Sequence[LinearOrder]) -> CandidateId:
     """Borda winner of a complete profile; ties go to the lowest candidate id."""
     if not profile:
         raise ValueError("profile must be nonempty")
-    return int(np.argmax(borda_scores(profile)))
+    m = profile[0].m
+    scores = np.zeros(m, dtype=np.int64)
+    for p in profile:
+        scores += m - np.asarray(p.rank_of)
+    return int(np.argmax(scores))
 
 
 @functools.cache
@@ -60,14 +55,12 @@ def score_bounds_vectors(q: PartialOrder) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 + rel @ ones, q.m - ones @ rel
 
 
-def pair_diff_matrix(
-    q: PartialOrder, bounds: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def pair_diff_matrix(q: PartialOrder, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Matrix D with D[c, c2] the exact maximum of score(c) - score(c2) over
     all linear extensions of ``q``; diagonal 0.
 
-    ``bounds`` is ``score_bounds_vectors(q)`` when the caller already holds
-    it.  Where c2 is not committed over c, some linear extension ranks c as
+    ``bounds`` is ``score_bounds_vectors(q)``, which the caller already
+    holds.  Where c2 is not committed over c, some linear extension ranks c as
     high and c2 as low as the relation allows, so the entry is
     sigma_max(c) - sigma_min(c2).  Where c2 is committed over c, every
     candidate wedged between them counts against c and the entry is
@@ -75,7 +68,7 @@ def pair_diff_matrix(
     0/1 relation.  Everything is float64 (BLAS), exact for integer counts
     this small.
     """
-    lo, hi = score_bounds_vectors(q) if bounds is None else bounds
+    lo, hi = bounds
     mat = q.mat
     rel = mat.astype(np.float64)
     d = np.subtract.outer(hi, lo)
@@ -111,32 +104,3 @@ def necessary_winner_from_total(total: np.ndarray) -> CandidateId | None:
         return None
     return int(winners[0])
 
-
-def _summed_diffs(qs: Sequence[PartialOrder]) -> np.ndarray:
-    total = pair_diff_matrix(qs[0])
-    for q in qs[1:]:
-        total += pair_diff_matrix(q)
-    return total
-
-
-def possible_winners(qs: Sequence[PartialOrder]) -> set[CandidateId]:
-    """Candidates that can still win: for every rival there is a completion of
-    each voter's relation in which the candidate at least ties (beats, when the
-    rival wins the tie-break).
-
-    The per-pair relaxation is a superset of the exact possible-winner set.
-    """
-    if not qs:
-        raise ValueError("need at least one voter")
-    return set(np.flatnonzero(possible_winners_from_total(_summed_diffs(qs))).tolist())
-
-
-def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:
-    """The candidate that wins under every joint completion, if already decided.
-
-    Exact: per-voter score-difference minima are achieved independently, so the
-    summed minimum equals the minimum over joint completions.
-    """
-    if not qs:
-        raise ValueError("need at least one voter")
-    return necessary_winner_from_total(_summed_diffs(qs))

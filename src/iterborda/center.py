@@ -31,13 +31,7 @@ from .borda import (
     score_bounds_vectors,
 )
 from .manipulation import order_pw, segment_total
-from .prefs import (
-    CandidateId,
-    LinearOrder,
-    PartialOrder,
-    add_preference,
-    project,
-)
+from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference
 from .voter import BEHAVIORS, TRUTHFUL, VoterState
 
 ES = "es"
@@ -294,17 +288,16 @@ def run_election(
     behavior: str,
     policy: Policy,
     rng: random.Random,
-    check_invariants: bool = True,
     twin: ElectionResult | None = None,
 ) -> ElectionResult:
     """Run one election to termination and return its outcome and trace.
 
     Loops compute-possible-winners / select-query / voter-responds /
     incorporate-answer until a necessary winner exists, which is guaranteed
-    within n*m*(m-1)/2 queries.  ``check_invariants`` enforces at runtime that
-    manipulations keep the possible winners in the voter's original order and
-    strictly widen their span, and that every voter's current ranking still
-    orders the final possible winners exactly as her true ranking does.
+    within n*m*(m-1)/2 queries.  It raises :class:`TraceInvariantError` when a
+    manipulation reorders the possible winners against the voter's earlier
+    ranking or fails to strictly widen their span, or when a voter's current
+    ranking orders the final possible winners differently from her true one.
 
     ``twin`` is the manipulative run on the same profiles, policy and seed;
     only a truthful run accepts it.  The two runs agree up to the twin's
@@ -353,7 +346,7 @@ def run_election(
         answer, manipulated = vs.respond(
             query.cj, query.ck, state.qs[query.voter], pw, behavior
         )
-        if check_invariants and manipulated:
+        if manipulated:
             pw_seen = order_pw(before, pw)
             if order_pw(vs.p_current, pw) != pw_seen:
                 raise TraceInvariantError("manipulation reordered the possible winners")
@@ -363,17 +356,16 @@ def run_election(
             fork = (state.copy(), rng.getstate(), query)
         state.apply_response(query, answer, manipulated)
 
-    if check_invariants:
-        # Current rankings only ever change against the possible winners they
-        # saw, and the set shrinks monotonically, so agreement on the final
-        # set certifies agreement at every earlier round.
-        final_pw = state.pw_cache
-        for vs in voters:
-            if project(vs.p_current, final_pw) != project(vs.p_true, final_pw):
-                raise TraceInvariantError(
-                    "a voter's current ranking orders the possible winners "
-                    "differently from her true ranking"
-                )
+    # Current rankings only ever change against the possible winners they
+    # saw, and the set shrinks monotonically, so agreement on the final set
+    # certifies agreement at every earlier round.
+    final_pw = state.pw_cache
+    for vs in voters:
+        if order_pw(vs.p_current, final_pw) != order_pw(vs.p_true, final_pw):
+            raise TraceInvariantError(
+                "a voter's current ranking orders the possible winners "
+                "differently from her true ranking"
+            )
 
     manipulated_count = sum(1 for step in state.history if step.manipulated)
     return ElectionResult(

@@ -8,9 +8,10 @@ Three subcommands:
   against the brute-force reference, nonzero exit on any mismatch.
 
 Bad input (an unreadable or malformed dataset or config, a dataset with
-fewer than two candidates, no voters, a candidate count outside what the
-oracle can enumerate, fewer than one oracle instance) is reported as one
-line on stderr with exit code 2, before any output is written.
+fewer than two candidates, no voters, an output directory that cannot be
+created, a candidate count outside what the oracle can enumerate, fewer than
+one oracle instance) is reported as one line on stderr with exit code 2,
+before any output is written.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import experiment as exp
-from .center import SELECTORS, Policy, is_safe, run_election
+from .center import POLICIES, Policy, is_safe, run_election
 from .manipulation import find_manipulation
 from .oracle import DEFAULT_CAP, oracle_manipulation, random_instance
 from .preflib import Dataset, ParseError, load_soc, sample_profiles
@@ -58,7 +59,7 @@ def _cmd_run(args) -> int:
     seed = exp.derive_seed(args.seed, "cli-run")
     rng = random.Random(seed)
     profiles = sample_profiles(ds, args.voters, rng)
-    policy = Policy(args.policy, args.careful)
+    policy = Policy.parse(args.policy)
     result = run_election(profiles, args.behavior, policy, rng)
     print(f"dataset={ds.name} m={ds.m} n={args.voters} policy={policy.name} "
           f"behavior={args.behavior} seed={args.seed}")
@@ -94,7 +95,10 @@ def _cmd_experiment(args) -> int:
     if ds is None:
         return 2
     out_dir = Path(args.out if args.out is not None else cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _bad_input(f"cannot create output directory {out_dir}: {exc.strerror or exc}")
     records = exp.run_experiment(cfg, ds)
     exp.write_records_csv(records, out_dir / "records.csv")
     exp.write_summary_csv(exp.summarize(records), out_dir / "summary.csv")
@@ -137,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single election and print its trace")
     p_run.add_argument("--dataset", required=True, help="path to a .soc data file")
     p_run.add_argument("--voters", type=int, required=True)
-    p_run.add_argument("--policy", choices=SELECTORS, required=True)
-    p_run.add_argument("--careful", action="store_true")
+    p_run.add_argument("--policy", choices=[p.name for p in POLICIES], required=True)
     p_run.add_argument("--behavior", choices=list(BEHAVIORS), required=True)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)

@@ -34,14 +34,15 @@ class CapExceededError(ValueError):
     """Candidate count too large for exhaustive enumeration."""
 
 
-def enumerate_extensions(q: PartialOrder, cap: int = DEFAULT_CAP) -> list[LinearOrder]:
+def enumerate_extensions(q: PartialOrder) -> list[LinearOrder]:
     """All linear extensions of ``q``, by recursive minimal-element selection.
 
     Distinct by construction; an empty relation over m candidates yields all
-    m! rankings.
+    m! rankings.  Raises :class:`CapExceededError` above ``DEFAULT_CAP``
+    candidates.
     """
-    if q.m > cap:
-        raise CapExceededError(f"m={q.m} exceeds enumeration cap {cap}")
+    if q.m > DEFAULT_CAP:
+        raise CapExceededError(f"m={q.m} exceeds enumeration cap {DEFAULT_CAP}")
     preds = [frozenset(int(x) for x in np.flatnonzero(q.mat[:, c])) for c in range(q.m)]
     out: list[LinearOrder] = []
     remaining = set(range(q.m))
@@ -68,7 +69,6 @@ def closest_extensions(
     q: PartialOrder,
     ck: CandidateId,
     cj: CandidateId,
-    cap: int = DEFAULT_CAP,
 ) -> list[LinearOrder]:
     """All rankings consistent with ``q`` plus the forced pair "ck over cj"
     that sit at minimal swap distance from ``p``.
@@ -76,7 +76,7 @@ def closest_extensions(
     Full enumeration followed by a distance filter; no pruning.
     """
     forced = add_preference(q, ck, cj)
-    extensions = enumerate_extensions(forced, cap=cap)
+    extensions = enumerate_extensions(forced)
     distances = [swap_distance(p, e) for e in extensions]
     best = min(distances)
     return [e for e, d in zip(extensions, distances) if d == best]
@@ -88,7 +88,6 @@ def oracle_manipulation(
     pw: Iterable[CandidateId],
     cj: CandidateId,
     ck: CandidateId,
-    cap: int = DEFAULT_CAP,
 ) -> ManipulationOutcome:
     """Reference manipulation search by exhaustive enumeration.
 
@@ -102,7 +101,7 @@ def oracle_manipulation(
             f"queried pair ({cj}, {ck}) is already committed"
         )
     pw_ordered = order_pw(p, pw)
-    for candidate in closest_extensions(p, q, ck, cj, cap=cap):
+    for candidate in closest_extensions(p, q, ck, cj):
         if is_locally_dominant(candidate, p, pw_ordered):
             return ManipulationOutcome(True, candidate, swap_distance(p, candidate))
     return ManipulationOutcome(False, p, 0)

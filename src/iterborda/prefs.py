@@ -40,10 +40,6 @@ class LinearOrder:
     def prefers(self, a: CandidateId, b: CandidateId) -> bool:
         return self.rank_of[a] < self.rank_of[b]
 
-    @property
-    def top(self) -> CandidateId:
-        return self.ranking[0]
-
     def __eq__(self, other):
         return isinstance(other, LinearOrder) and self.ranking == other.ranking
 
@@ -142,16 +138,3 @@ def swap_distance(p: LinearOrder, p2: LinearOrder) -> int:
                 d += 1
     return d
 
-
-def project(p: LinearOrder, t: Iterable[CandidateId]) -> tuple[CandidateId, ...]:
-    """The members of ``t`` listed in descending ``p`` order."""
-    t = set(t)
-    return tuple(c for c in p.ranking if c in t)
-
-
-def is_extension(p: LinearOrder, q: PartialOrder) -> bool:
-    """True when every committed pair of ``q`` agrees with the ranking ``p``."""
-    if p.m != q.m:
-        raise ValueError("order and relation must cover the same candidates")
-    ranks = np.asarray(p.rank_of)
-    return not bool(np.any(q.mat & (ranks[:, None] > ranks[None, :])))

@@ -28,7 +28,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from iterborda.borda import borda_winner, pair_diff_matrix
+from iterborda.borda import borda_winner, pair_diff_matrix, score_bounds_vectors
 from iterborda.center import CenterState, Policy, run_election
 from iterborda.experiment import ExperimentConfig, derive_seed, run_experiment
 from iterborda.manipulation import (
@@ -38,8 +38,10 @@ from iterborda.manipulation import (
 )
 from iterborda.oracle import enumerate_extensions, oracle_manipulation, random_instance
 from iterborda.preflib import bundled, sample_profiles
-from iterborda.prefs import InconsistencyError, LinearOrder, close, is_extension, project
+from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
+
+from center_helpers import is_extension
 
 RANDOM_INSTANCES_PER_M = 10_000  # criterion 1, at m=5 and at m=6
 SCORE_BOUND_INSTANCES = 12_000  # criterion 4, m in 3..6
@@ -182,7 +184,7 @@ def test_criterion_4_score_bound_exactness():
         spread = sigma[:, :, None] - sigma[:, None, :]
         brute_max = spread.max(axis=0)
         brute_min = spread.min(axis=0)
-        fast_max = pair_diff_matrix(q)
+        fast_max = pair_diff_matrix(q, score_bounds_vectors(q))
         off = ~np.eye(m, dtype=bool)
         if not np.array_equal(brute_max[off], fast_max[off]):
             bad += 1
@@ -337,7 +339,7 @@ def test_criterion_8_trace_invariants(sweep_records):
             state.apply_response(query, answer, manipulated)
             for voter in voters:
                 rounds_checked += 1
-                if project(voter.p_current, state.pw_cache) != project(
+                if order_pw(voter.p_current, state.pw_cache) != order_pw(
                     voter.p_true, state.pw_cache
                 ):
                     violations += 1

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from iterborda.borda import borda_winner, possible_winners
+from iterborda.borda import borda_winner
 from iterborda.center import (
     ES,
     RANDOM,
@@ -13,13 +13,15 @@ from iterborda.center import (
     NoQueriesLeftError,
     Policy,
     Query,
+    TraceInvariantError,
     is_safe,
     run_election,
 )
+from iterborda.manipulation import ManipulationOutcome
 from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
-from center_helpers import unresolved
+from center_helpers import possible_winners, unresolved
 
 ALL_POLICIES = [Policy(sel, careful) for sel in (ES, RANDOM) for careful in (False, True)]
 
@@ -254,6 +256,26 @@ class TestRunElection:
                 for step in res.trace:
                     if is_safe(step.query, step.pw):
                         assert not step.manipulated
+
+    @pytest.mark.parametrize(
+        "rewrite, message",
+        [
+            # reversing the ranking answers ck over cj and reverses the
+            # possible winners, all m of them at the first query
+            (lambda p: LinearOrder(reversed(p.ranking)), "reordered"),
+            # keeping the ranking widens no gap
+            (lambda p: p, "did not widen"),
+        ],
+        ids=["reordered", "not-widened"],
+    )
+    def test_invalid_rewrite_raises(self, monkeypatch, rewrite, message):
+        def bad_search(p, q, pw, cj, ck):
+            return ManipulationOutcome(True, rewrite(p), 1)
+
+        monkeypatch.setattr("iterborda.voter.find_manipulation", bad_search)
+        profiles = random_profiles(4, 3, random.Random(37))
+        with pytest.raises(TraceInvariantError, match=message):
+            run_election(profiles, MANIPULATIVE, Policy(RANDOM), random.Random(0))
 
     def test_toy_scenario_reached_through_center(self):
         # two fully elicited voters leave possible winners {1, 2}; the third,

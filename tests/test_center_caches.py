@@ -32,7 +32,7 @@ from iterborda.center import (
 from iterborda.preflib import sample_profiles
 from iterborda.voter import MANIPULATIVE, VoterState
 
-from center_helpers import unresolved
+from center_helpers import necessary_winner, possible_winners, unresolved
 
 ALL_POLICIES = [Policy(sel, careful) for sel in ("es", "random") for careful in (False, True)]
 
@@ -55,7 +55,10 @@ def reference_mid_total(qs):
 
 
 def assert_total_matches(state):
-    expected = sum(borda.pair_diff_matrix(q).astype(np.int64) for q in state.qs)
+    expected = sum(
+        borda.pair_diff_matrix(q, borda.score_bounds_vectors(q)).astype(np.int64)
+        for q in state.qs
+    )
     assert np.array_equal(state._total, expected)
 
 
@@ -75,7 +78,7 @@ def reference_select(qs, policy, rng):
         star = int(np.argmax(reference_mid_total(qs)))
         pool = [(pair, vs) for pair, vs in full if star in pair] or full
     if policy.careful:
-        pw = borda.possible_winners(qs)
+        pw = possible_winners(qs)
         safe = [(pair, vs) for pair, vs in pool if pair[0] in pw and pair[1] in pw]
         if safe:
             pool = safe
@@ -132,8 +135,8 @@ class CenterCaches(RuleBasedStateMachine):
     @invariant()
     def winners_match_recomputation(self):
         qs = self.state.qs
-        assert self.state.pw_cache == frozenset(borda.possible_winners(qs))
-        assert self.state.necessary_winner() == borda.necessary_winner(qs)
+        assert self.state.pw_cache == frozenset(possible_winners(qs))
+        assert self.state.necessary_winner() == necessary_winner(qs)
 
     @invariant()
     def unresolved_matches_recomputation(self):
@@ -199,7 +202,7 @@ def test_replay_m30_checks_caches_every_round():
             qs = state.qs
             assert_total_matches(state)
             assert np.array_equal(state._mid_total, reference_mid_total(qs))
-            assert state.pw_cache == frozenset(borda.possible_winners(qs))
+            assert state.pw_cache == frozenset(possible_winners(qs))
             assert state._open_count.tolist() == reference_open_counts(qs)
         # the replay is the election run_election runs
         result = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))

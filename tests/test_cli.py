@@ -23,7 +23,7 @@ class TestRun:
     def test_careful_manipulative(self, capsys):
         rc = main([
             "run", "--dataset", str(bundled_path("sample7")),
-            "--voters", "4", "--policy", "random", "--careful",
+            "--voters", "4", "--policy", "careful-random",
             "--behavior", "manipulative", "--seed", "3",
         ])
         assert rc == 0
@@ -91,6 +91,15 @@ class TestExperiment:
         assert rc == 2
         assert_one_line_error(capsys, expected)
         assert not out_dir.exists()
+
+    def test_out_is_a_file_errors(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"dataset = {bundled_path('sample7')}\n", encoding="utf-8")
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "cannot create output directory")
+        assert out.read_text(encoding="utf-8") == "not a directory"
 
 
 class TestOracleCheck:

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterborda.manipulation import order_pw
 from iterborda.prefs import (
     InconsistencyError,
     LinearOrder,
     PartialOrder,
     add_preference,
     close,
-    is_extension,
-    project,
     swap_distance,
 )
+
+from center_helpers import is_extension
 
 # the six-candidate example pair used throughout: c_i maps to id i-1
 P = LinearOrder([1, 0, 2, 4, 3, 5])  # c2 > c1 > c3 > c5 > c4 > c6
@@ -179,13 +180,14 @@ class TestSwapDistance:
 
 class TestProject:
     def test_subset_inherits_order(self):
-        assert project(P, {0, 3, 5}) == (0, 3, 5)  # c1 > c4 > c6 under P
+        assert order_pw(P, {0, 3, 5}) == (0, 3, 5)  # c1 > c4 > c6 under P
 
     def test_full_set_is_identity(self):
-        assert project(P, range(6)) == P.ranking
+        assert order_pw(P, range(6)) == P.ranking
 
     def test_empty(self):
-        assert project(P, set()) == ()
+        with pytest.raises(ValueError):
+            order_pw(P, set())
 
 
 class TestIsExtension:

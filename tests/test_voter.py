@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from iterborda.center import CenterState, Query
-from iterborda.manipulation import PreconditionViolationError
-from iterborda.prefs import LinearOrder, PartialOrder, close, is_extension, project
+from iterborda.manipulation import PreconditionViolationError, order_pw
+from iterborda.prefs import LinearOrder, PartialOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
+
+from center_helpers import is_extension
 
 
 class TestTruthful:
@@ -107,7 +109,7 @@ class TestManipulative:
                 state.apply_response(Query(0, a, b), answer, manipulated)
                 assert is_extension(vs.p_current, state.qs[0])
                 if manipulated:
-                    assert project(vs.p_current, pw) == project(before, pw)
+                    assert order_pw(vs.p_current, pw) == order_pw(before, pw)
             assert not state.qs[0].unresolved_pairs()  # complete
 
     def test_current_order_always_extends_mirror(self):
