@@ -1,8 +1,10 @@
 """The voting center: query selection, response bookkeeping, election loop.
 
 The center knows nothing about the voters beyond their answers.  It keeps one
-transitively closed relation per voter, recomputes the possible-winner set
-after every answer, and stops as soon as a necessary winner exists.
+transitively closed relation per voter and recomputes the possible-winner set
+after every answer.  The election loop stops as soon as a necessary winner
+exists and keeps the record of the run: one trace step per query, with
+whether the voter's answer was a manipulation, which the center never sees.
 
 A round makes one pass over the answering voter's new relation: her open
 pairs update a running count of open voters per candidate pair, and her
@@ -95,10 +97,11 @@ class TraceStep:
 class ElectionResult:
     """Outcome and full trace of a single election run.
 
-    ``fork`` is set on a manipulative run that manipulated at least once: the
-    center's state, the RNG state and the pending query at the first
-    manipulated answer, before that answer was applied.  Up to there the
-    truthful run on the same seed is identical, so it can resume from the fork.
+    ``trace`` holds one step per query issued.  ``fork`` is set on a
+    manipulative run that manipulated at least once: the center's state and
+    the RNG state at the first manipulated step, after its query was drawn and
+    before its answer was applied.  Up to there the truthful run on the same
+    seed is identical, so it can resume from the fork and that step's query.
     """
 
     winner: CandidateId
@@ -106,7 +109,7 @@ class ElectionResult:
     max_queries: int
     manipulated_count: int
     trace: list[TraceStep] = field(repr=False)
-    fork: tuple[CenterState, tuple, Query] | None = field(
+    fork: tuple[CenterState, tuple] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -142,11 +145,7 @@ class CenterState:
     def __init__(self, n: int, m: int):
         if n < 1 or m < 2:
             raise ValueError("need at least one voter and two candidates")
-        self.n = n
-        self.m = m
         self.qs: list[PartialOrder] = [PartialOrder(m) for _ in range(n)]
-        self.history: list[TraceStep] = []
-        self.round = 0
         self._first, self._second, self._es_pools = _pair_layout(m)
         # flat position of each pair (a < b) in an m x m matrix
         self._upper = self._first * m + self._second
@@ -169,7 +168,7 @@ class CenterState:
         # pw_cache, _safe, the per-voter arrays and the pair layout are
         # replaced, never changed in place
         twin = copy.copy(self)
-        for name in ("qs", "_mids", "_diffs", "history"):
+        for name in ("qs", "_mids", "_diffs"):
             setattr(twin, name, list(getattr(self, name)))
         for name in ("_total", "_mid_total", "_open", "_open_count"):
             setattr(twin, name, getattr(self, name).copy())
@@ -242,12 +241,7 @@ class CenterState:
         voter = int(self._open[:, pair].nonzero()[0][rank])
         return Query(voter, int(self._first[pair]), int(self._second[pair]))
 
-    def apply_response(
-        self,
-        query: Query,
-        response: tuple[CandidateId, CandidateId],
-        manipulated: bool = False,
-    ) -> None:
+    def apply_response(self, query: Query, response: tuple[CandidateId, CandidateId]) -> None:
         """Fold an answer into the queried voter's relation and refresh caches.
 
         Raises ``InconsistencyError`` if the answer contradicts the closure of
@@ -277,10 +271,7 @@ class CenterState:
         self._total -= self._diffs[v]
         self._total += fresh
         self._diffs[v] = fresh
-        pw_at_issue = self.pw_cache
         self._set_pw(possible_winners_from_total(self._total))
-        self.history.append(TraceStep(query, (a, b), manipulated, pw_at_issue))
-        self.round += 1
 
 
 def run_election(
@@ -302,8 +293,8 @@ def run_election(
     ``twin`` is the manipulative run on the same profiles, policy and seed;
     only a truthful run accepts it.  The two runs agree up to the twin's
     first manipulated answer, so the truthful run resumes from the twin's
-    fork there, answering the pending query truthfully, instead of replaying
-    the shared prefix.  A twin that never manipulated ran this very election.
+    fork there and first asks that step's query, instead of replaying the
+    shared prefix.  A twin that never manipulated ran this very election.
     """
     if behavior not in BEHAVIORS:
         raise ValueError(f"unknown behavior {behavior!r}")
@@ -318,28 +309,30 @@ def run_election(
 
     voters = [VoterState(p) for p in profiles]
     max_queries = n * m * (m - 1) // 2
+    pending = None
     if twin is None:
         state = CenterState(n, m)
+        trace = []
     elif twin.fork is None:
         return replace(twin, trace=list(twin.trace))
     else:
-        fork_state, rng_state, query = twin.fork
+        fork_state, rng_state = twin.fork
         state = fork_state.copy()
         rng.setstate(rng_state)
-        answer, _ = voters[query.voter].respond(
-            query.cj, query.ck, state.qs[query.voter], state.pw_cache, TRUTHFUL
-        )
-        state.apply_response(query, answer)
+        k = next(i for i, step in enumerate(twin.trace) if step.manipulated)
+        pending = twin.trace[k].query
+        trace = twin.trace[:k]
     fork = None
 
     while True:
         winner = state.necessary_winner()
         if winner is not None:
             break
-        if state.round >= max_queries:
+        if len(trace) >= max_queries:
             raise AssertionError("election failed to terminate within the query bound")
         pw = state.pw_cache
-        query = state.select_query(policy, rng)
+        query = pending or state.select_query(policy, rng)
+        pending = None
         vs = voters[query.voter]
         before = vs.p_current
         # the voter searches against what she has revealed: the center's relation
@@ -353,8 +346,9 @@ def run_election(
             if segment_total(vs.p_current, pw_seen) <= segment_total(before, pw_seen):
                 raise TraceInvariantError("manipulation did not widen the possible-winner span")
         if manipulated and fork is None:
-            fork = (state.copy(), rng.getstate(), query)
-        state.apply_response(query, answer, manipulated)
+            fork = (state.copy(), rng.getstate())
+        state.apply_response(query, answer)
+        trace.append(TraceStep(query, answer, manipulated, pw))
 
     # Current rankings only ever change against the possible winners they
     # saw, and the set shrinks monotonically, so agreement on the final set
@@ -367,12 +361,11 @@ def run_election(
                 "differently from her true ranking"
             )
 
-    manipulated_count = sum(1 for step in state.history if step.manipulated)
     return ElectionResult(
         winner=winner,
-        queries_issued=state.round,
+        queries_issued=len(trace),
         max_queries=max_queries,
-        manipulated_count=manipulated_count,
-        trace=state.history,
+        manipulated_count=sum(step.manipulated for step in trace),
+        trace=trace,
         fork=fork,
     )

@@ -54,11 +54,24 @@ class ExperimentConfig:
         for b in self.behaviors:
             if b not in BEHAVIORS:
                 raise ValueError(f"unknown behavior {b!r}")
+        # a repeated coordinate would rerun identical elections
+        for name, values in (
+            ("voter_counts", self.voter_counts),
+            ("policies", [Policy(*p).name for p in self.policies]),
+            ("behaviors", self.behaviors),
+        ):
+            repeated = list(dict.fromkeys(v for i, v in enumerate(values) if v in values[:i]))
+            if repeated:
+                raise ValueError(f"{name} lists {repeated} more than once")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class RunRecord:
-    """One election run, flattened to a CSV row."""
+    """One election run, flattened to a CSV row.
+
+    Records order by their coordinates, the first seven fields, which are
+    unique within a sweep.
+    """
 
     dataset: str
     policy: str
@@ -73,17 +86,6 @@ class RunRecord:
     winner: int
     paired_truthful_winner: int
     outcome_changed: bool
-
-    def sort_key(self):
-        return (
-            self.dataset,
-            self.policy,
-            self.careful,
-            self.behavior,
-            self.n_voters,
-            self.set_index,
-            self.rep_index,
-        )
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,10 @@ def run_experiment(cfg: ExperimentConfig, ds: Dataset | None = None) -> list[Run
     if ds is None:
         ds = load_soc(cfg.dataset)
     cells = [(n, s) for n in cfg.voter_counts for s in range(cfg.profile_sets)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # the pool forks all its workers at once, so start no more than there are cells
+    workers = min(cfg.workers, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(
                 _run_profile_set,
                 [cfg] * len(cells),
@@ -205,7 +209,7 @@ def run_experiment(cfg: ExperimentConfig, ds: Dataset | None = None) -> list[Run
         records = [
             rec for n, s in cells for rec in _run_profile_set(cfg, ds, n, s)
         ]
-    records.sort(key=RunRecord.sort_key)
+    records.sort()
     return records
 
 

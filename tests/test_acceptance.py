@@ -336,7 +336,7 @@ def test_criterion_8_trace_invariants(sweep_records):
                     violations += 1
             elif total_after != total_before:
                 violations += 1
-            state.apply_response(query, answer, manipulated)
+            state.apply_response(query, answer)
             for voter in voters:
                 rounds_checked += 1
                 if order_pw(voter.p_current, state.pw_cache) != order_pw(

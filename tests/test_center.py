@@ -96,21 +96,12 @@ class TestCenterState:
                 assert state.pw_cache <= previous
                 previous = state.pw_cache
 
-    def test_history_and_round_in_step(self):
-        state = CenterState(n=1, m=3)
-        state.apply_response(Query(0, 1, 2), (2, 1))
-        assert state.round == 1
-        assert len(state.history) == 1
-        step = state.history[0]
-        assert step.response == (2, 1)
-        assert step.pw == frozenset({0, 1, 2})  # set at issue time
-
     def test_copy_is_independent_of_original(self):
         rng = random.Random(3)
         orders = random_profiles(4, 3, rng)
         state = CenterState(n=3, m=4)
         state.apply_response(Query(0, 0, 1), (0, 1) if orders[0].prefers(0, 1) else (1, 0))
-        qs, history, rnd, pw = list(state.qs), list(state.history), state.round, state.pw_cache
+        qs, pw = list(state.qs), state.pw_cache
         arrays = {
             name: getattr(state, name).copy()
             for name in ("_total", "_mid_total", "_open", "_open_count")
@@ -118,10 +109,9 @@ class TestCenterState:
         twin = state.copy()
         for v, order in enumerate(orders):
             elicit_everything(twin, order, v)
-        assert twin.pw_cache != pw and twin.round > rnd
+        assert twin.pw_cache != pw and twin.qs != qs
         assert state.qs == qs
-        assert state.history == history
-        assert (state.round, state.pw_cache) == (rnd, pw)
+        assert state.pw_cache == pw
         for name, before in arrays.items():
             assert np.array_equal(getattr(state, name), before), name
 
@@ -277,6 +267,43 @@ class TestRunElection:
         with pytest.raises(TraceInvariantError, match=message):
             run_election(profiles, MANIPULATIVE, Policy(RANDOM), random.Random(0))
 
+    @pytest.mark.parametrize("behavior", [TRUTHFUL, MANIPULATIVE])
+    def test_trace_step_records_query_answer_and_pw_at_issue(self, behavior):
+        rng = random.Random(41)
+        manipulated_runs = 0
+        for trial in range(12):
+            profiles = random_profiles(4, 3, rng)
+            policy = ALL_POLICIES[trial % len(ALL_POLICIES)]
+            result = run_election(profiles, behavior, policy, random.Random(trial))
+            trace = result.trace
+            assert len(trace) == result.queries_issued
+            assert trace[0].pw == frozenset(range(4))
+            for step, later in zip(trace, trace[1:]):
+                assert later.pw <= step.pw
+            # each step's pw is the set computed from the answers before it
+            answers = [[] for _ in profiles]
+            for step in trace:
+                qs = [close(pairs, 4) for pairs in answers]
+                assert step.pw == frozenset(possible_winners(qs))
+                answers[step.query.voter].append(step.response)
+            assert result.manipulated_count == sum(step.manipulated for step in trace)
+            # answers follow the true ranking up to the first manipulation,
+            # which inverts the pair it was asked
+            first = next((i for i, step in enumerate(trace) if step.manipulated), len(trace))
+            for i, step in enumerate(trace):
+                q = step.query
+                truthful = (q.cj, q.ck) if profiles[q.voter].prefers(q.cj, q.ck) else (q.ck, q.cj)
+                assert sorted(step.response) == [q.cj, q.ck]
+                if i < first:
+                    assert step.response == truthful
+                elif i == first:
+                    assert step.response == truthful[::-1]
+            manipulated_runs += first < len(trace)
+        if behavior == MANIPULATIVE:
+            assert manipulated_runs
+        else:
+            assert manipulated_runs == 0
+
     def test_toy_scenario_reached_through_center(self):
         # two fully elicited voters leave possible winners {1, 2}; the third,
         # ranking 0 > 1 > 2, is then asked 0-vs-1 and flips it
@@ -286,7 +313,7 @@ class TestRunElection:
         assert state.pw_cache == frozenset({1, 2})
         vs = VoterState(LinearOrder([0, 1, 2]))
         answer, manipulated = vs.respond(0, 1, state.qs[0], state.pw_cache, MANIPULATIVE)
-        state.apply_response(Query(0, 0, 1), answer, manipulated)
+        state.apply_response(Query(0, 0, 1), answer)
         assert manipulated
         assert answer == (1, 0)
         assert vs.p_current == LinearOrder([1, 0, 2])

@@ -27,6 +27,7 @@ from iterborda.center import (
     NoQueriesLeftError,
     Policy,
     Query,
+    TraceStep,
     run_election,
 )
 from iterborda.preflib import sample_profiles
@@ -126,7 +127,7 @@ class CenterCaches(RuleBasedStateMachine):
     def _answer(self, query, flip):
         # either direction of an open pair is consistent with a closed relation
         answer = (query.ck, query.cj) if flip else (query.cj, query.ck)
-        self.state.apply_response(query, answer, manipulated=flip)
+        self.state.apply_response(query, answer)
 
     @invariant()
     def total_matches_recomputation(self):
@@ -192,13 +193,16 @@ def test_replay_m30_checks_caches_every_round():
         voters = [VoterState(p) for p in profiles]
         state = CenterState(5, 30)
         rng = random.Random(seed)
+        trace = []
         while state.necessary_winner() is None:
+            pw = state.pw_cache
             query = state.select_query(policy, rng)
             q = state.qs[query.voter]
             answer, manipulated = voters[query.voter].respond(
-                query.cj, query.ck, q, state.pw_cache, MANIPULATIVE
+                query.cj, query.ck, q, pw, MANIPULATIVE
             )
-            state.apply_response(query, answer, manipulated)
+            state.apply_response(query, answer)
+            trace.append(TraceStep(query, answer, manipulated, pw))
             qs = state.qs
             assert_total_matches(state)
             assert np.array_equal(state._mid_total, reference_mid_total(qs))
@@ -206,6 +210,6 @@ def test_replay_m30_checks_caches_every_round():
             assert state._open_count.tolist() == reference_open_counts(qs)
         # the replay is the election run_election runs
         result = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
-        assert result.trace == state.history
+        assert result.trace == trace
         manipulations += result.manipulated_count
     assert manipulations > 0

@@ -63,7 +63,13 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "text",
-        ["voter_counts = 3\n", "dataset = x\nworkers = 0\n", "dataset x\n", "colour = red\n"],
+        [
+            "voter_counts = 3\n",
+            "dataset = x\nworkers = 0\n",
+            "dataset x\n",
+            "colour = red\n",
+            "dataset = x\nvoter_counts = 4, 4\n",
+        ],
     )
     def test_malformed_config_errors(self, tmp_path, capsys, text):
         config = tmp_path / "bad.cfg"

@@ -91,6 +91,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="workers"):
             parse_config(f"dataset = d\nworkers = {workers}\n")
 
+    @pytest.mark.parametrize(
+        "key, value, repeated",
+        [
+            ("voter_counts", "4, 5, 4", "[4]"),
+            ("policies", "es, careful-es, ES, careful-es", "['es', 'careful-es']"),
+            ("behaviors", "truthful, truthful", "['truthful']"),
+        ],
+    )
+    def test_repeated_coordinates_rejected(self, key, value, repeated):
+        with pytest.raises(ValueError) as excinfo:
+            parse_config(f"dataset = d\n{key} = {value}\n")
+        assert str(excinfo.value) == f"{key} lists {repeated} more than once"
+
 
 class TestDeriveSeed:
     def test_stable_and_sensitive(self):
@@ -126,6 +139,34 @@ class TestRunExperiment:
         b = run_experiment(tiny_config(reps_per_set=2))
         c = run_experiment(tiny_config(reps_per_set=2, workers=2))
         assert a == b == c
+
+    @pytest.mark.parametrize(
+        "workers, voter_counts, profile_sets, pool_size",
+        [(3, [3], 1, None), (3, [3, 4], 1, 2), (2, [3, 4], 2, 2), (1, [3, 4], 2, None)],
+    )
+    def test_pool_starts_no_more_workers_than_cells(
+        self, monkeypatch, workers, voter_counts, profile_sets, pool_size
+    ):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("iterborda.experiment.ProcessPoolExecutor", InProcessPool)
+        grid = dict(voter_counts=voter_counts, profile_sets=profile_sets)
+        records = run_experiment(tiny_config(workers=workers, **grid))
+        assert pools == ([] if pool_size is None else [pool_size])
+        assert records == run_experiment(tiny_config(**grid))
 
     def test_paired_twins_share_query_prefix(self):
         ds = bundled("sample7")

@@ -106,7 +106,7 @@ class TestManipulative:
                 mat_before = q.mat.copy()
                 answer, manipulated = vs.respond(a, b, q, pw, MANIPULATIVE)
                 assert np.array_equal(q.mat, mat_before)
-                state.apply_response(Query(0, a, b), answer, manipulated)
+                state.apply_response(Query(0, a, b), answer)
                 assert is_extension(vs.p_current, state.qs[0])
                 if manipulated:
                     assert order_pw(vs.p_current, pw) == order_pw(before, pw)
@@ -121,6 +121,6 @@ class TestManipulative:
                 q = state.qs[0]
                 if q.holds(a, b) or q.holds(b, a):
                     continue
-                answer, manipulated = vs.respond(a, b, q, {0, 4}, MANIPULATIVE)
-                state.apply_response(Query(0, a, b), answer, manipulated)
+                answer, _ = vs.respond(a, b, q, {0, 4}, MANIPULATIVE)
+                state.apply_response(Query(0, a, b), answer)
                 assert is_extension(vs.p_current, state.qs[0])
