@@ -2,15 +2,16 @@
 
 Everything here enumerates linear extensions outright, so it is capped at
 small candidate counts and meant for tests and the ``oracle-check`` command,
-not for production use inside election runs.
+not for production use inside election runs.  The enumeration walks
+placements on int bitmasks and carries each extension's swap distance from
+the voter's ranking as a running sum, so a :class:`LinearOrder` is built
+only for the closest rewrites; it never prunes, so it stays exhaustive.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable
-
-import numpy as np
 
 from .manipulation import (
     ManipulationOutcome,
@@ -34,33 +35,53 @@ class CapExceededError(ValueError):
     """Candidate count too large for exhaustive enumeration."""
 
 
-def enumerate_extensions(q: PartialOrder) -> list[LinearOrder]:
-    """All linear extensions of ``q``, by recursive minimal-element selection.
+def enumerate_extensions(
+    q: PartialOrder, p: LinearOrder
+) -> list[tuple[tuple[CandidateId, ...], int]]:
+    """Every linear extension of ``q`` with its swap distance from ``p``.
 
-    Distinct by construction; an empty relation over m candidates yields all
-    m! rankings.  Raises :class:`CapExceededError` above ``DEFAULT_CAP``
-    candidates.
+    Recursive minimal-element selection (Knuth & Szwarcfiter, 1974) on int
+    bitmasks: ``preds[c]`` holds the candidates committed above c and
+    ``remaining`` the candidates not yet placed, so c may come next when
+    ``preds[c] & remaining`` is empty.  Candidates are tried in ascending
+    id order, so the rankings come out in lexicographic order.  Placing c
+    above the ``rest`` still to be placed inverts, relative to ``p``, exactly
+    the pairs with the members of ``rest`` that ``p`` ranks above c, so each
+    extension carries its swap distance as a running sum.
+
+    Returns ``(ranking, distance)`` pairs, distinct by construction; an empty
+    relation over m candidates yields all m! rankings.  Raises
+    :class:`CapExceededError` above ``DEFAULT_CAP`` candidates.
     """
-    if q.m > DEFAULT_CAP:
-        raise CapExceededError(f"m={q.m} exceeds enumeration cap {DEFAULT_CAP}")
-    preds = [frozenset(int(x) for x in np.flatnonzero(q.mat[:, c])) for c in range(q.m)]
-    out: list[LinearOrder] = []
-    remaining = set(range(q.m))
-    prefix: list[int] = []
+    m = q.m
+    if m > DEFAULT_CAP:
+        raise CapExceededError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
+    if p.m != m:
+        raise ValueError("rankings must cover the same candidates")
+    rows = q.mat.tolist()
+    rank = p.rank_of
+    # (candidate, bit, committed-above mask, ranked-above-in-p mask)
+    steps = [
+        (
+            c,
+            1 << c,
+            sum(1 << a for a in range(m) if rows[a][c]),
+            sum(1 << a for a in range(m) if rank[a] < rank[c]),
+        )
+        for c in range(m)
+    ]
+    out: list[tuple[tuple[CandidateId, ...], int]] = []
 
-    def grow():
+    def grow(prefix, remaining, d):
         if not remaining:
-            out.append(LinearOrder(prefix))
+            out.append((prefix, d))
             return
-        for c in sorted(remaining):
-            if preds[c].isdisjoint(remaining):
-                remaining.remove(c)
-                prefix.append(c)
-                grow()
-                prefix.pop()
-                remaining.add(c)
+        for c, bit, preds, above in steps:
+            if remaining & bit and not preds & remaining:
+                rest = remaining ^ bit
+                grow(prefix + (c,), rest, d + (rest & above).bit_count())
 
-    grow()
+    grow((), (1 << m) - 1, 0)
     return out
 
 
@@ -71,15 +92,15 @@ def closest_extensions(
     cj: CandidateId,
 ) -> list[LinearOrder]:
     """All rankings consistent with ``q`` plus the forced pair "ck over cj"
-    that sit at minimal swap distance from ``p``.
+    that sit at minimal swap distance from ``p``, in lexicographic order.
 
-    Full enumeration followed by a distance filter; no pruning.
+    Full enumeration with running distances, no pruning; a
+    :class:`LinearOrder` is built only for the extensions at the minimum.
     """
     forced = add_preference(q, ck, cj)
-    extensions = enumerate_extensions(forced)
-    distances = [swap_distance(p, e) for e in extensions]
-    best = min(distances)
-    return [e for e, d in zip(extensions, distances) if d == best]
+    extensions = enumerate_extensions(forced, p)
+    best = min(d for _, d in extensions)
+    return [LinearOrder(r) for r, d in extensions if d == best]
 
 
 def oracle_manipulation(
@@ -100,6 +121,8 @@ def oracle_manipulation(
         raise PreconditionViolationError(
             f"queried pair ({cj}, {ck}) is already committed"
         )
+    if not p.prefers(cj, ck):
+        raise PreconditionViolationError(f"voter does not rank {cj} above {ck}")
     pw_ordered = order_pw(p, pw)
     for candidate in closest_extensions(p, q, ck, cj):
         if is_locally_dominant(candidate, p, pw_ordered):
@@ -117,7 +140,8 @@ def random_instance(
     and the possible-winner set is a random nonempty candidate subset.
     """
     p = LinearOrder(rng.sample(range(m), m))
-    all_pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
+    rank = p.rank_of
+    all_pairs = [(a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]]
     while True:
         k = rng.randrange(0, m * (m - 1) // 2)
         q = close(rng.sample(all_pairs, k), m)

@@ -73,11 +73,12 @@ class PartialOrder:
 
     def unresolved_pairs(self) -> list[tuple[CandidateId, CandidateId]]:
         """All candidate pairs (a < b) with neither direction committed."""
+        rows = self.mat.tolist()
         return [
             (a, b)
             for a in range(self.m)
             for b in range(a + 1, self.m)
-            if not self.mat[a, b] and not self.mat[b, a]
+            if not rows[a][b] and not rows[b][a]
         ]
 
     def __eq__(self, other):

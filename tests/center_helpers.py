@@ -1,5 +1,6 @@
-"""From-scratch references the tests compare the center against, and
-test-side views of a ``CenterState``'s private caches."""
+"""From-scratch references the tests compare the center against, test-side
+views of a ``CenterState``'s private caches, and linear extensions as
+rankings."""
 
 from typing import Sequence
 
@@ -12,6 +13,7 @@ from iterborda.borda import (
     score_bounds_vectors,
 )
 from iterborda.center import Query
+from iterborda.oracle import enumerate_extensions
 from iterborda.prefs import CandidateId, LinearOrder, PartialOrder
 
 
@@ -59,3 +61,8 @@ def is_extension(p: LinearOrder, q: PartialOrder) -> bool:
         raise ValueError("order and relation must cover the same candidates")
     ranks = np.asarray(p.rank_of)
     return not bool(np.any(q.mat & (ranks[:, None] > ranks[None, :])))
+
+
+def linear_extensions(q: PartialOrder) -> list[LinearOrder]:
+    """Every linear extension of ``q`` as a ranking, in lexicographic order."""
+    return [LinearOrder(r) for r, _ in enumerate_extensions(q, LinearOrder(range(q.m)))]

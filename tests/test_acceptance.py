@@ -36,12 +36,12 @@ from iterborda.manipulation import (
     order_pw,
     segment_total,
 )
-from iterborda.oracle import enumerate_extensions, oracle_manipulation, random_instance
+from iterborda.oracle import oracle_manipulation, random_instance
 from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
-from center_helpers import is_extension
+from center_helpers import is_extension, linear_extensions
 
 RANDOM_INSTANCES_PER_M = 10_000  # criterion 1, at m=5 and at m=6
 SCORE_BOUND_INSTANCES = 12_000  # criterion 4, m in 3..6
@@ -179,7 +179,7 @@ def test_criterion_4_score_bound_exactness():
     for i in range(SCORE_BOUND_INSTANCES):
         m = 3 + (i % 4)
         p, q, _, _, _ = random_instance(m, rng)
-        ranks = np.array([e.rank_of for e in enumerate_extensions(q)])
+        ranks = np.array([e.rank_of for e in linear_extensions(q)])
         sigma = m - ranks
         spread = sigma[:, :, None] - sigma[:, None, :]
         brute_max = spread.max(axis=0)

@@ -13,10 +13,9 @@ from iterborda.borda import (
     possible_winners_from_total,
     score_bounds_vectors,
 )
-from iterborda.oracle import enumerate_extensions
 from iterborda.prefs import LinearOrder, PartialOrder, close
 
-from center_helpers import necessary_winner, possible_winners
+from center_helpers import linear_extensions, necessary_winner, possible_winners
 
 
 def lin(*ranking):
@@ -24,7 +23,7 @@ def lin(*ranking):
 
 
 def brute_force_extremes(q, c, c2):
-    diffs = [e.rank_of[c2] - e.rank_of[c] for e in enumerate_extensions(q)]
+    diffs = [e.rank_of[c2] - e.rank_of[c] for e in linear_extensions(q)]
     return max(diffs), min(diffs)
 
 
@@ -53,7 +52,7 @@ def min_pair_diff(q, c, c2):
 def joint_winner_set(qs):
     """Winners over every joint completion (exact possible-winner set)."""
     winners = set()
-    for combo in itertools.product(*(enumerate_extensions(q) for q in qs)):
+    for combo in itertools.product(*(linear_extensions(q) for q in qs)):
         winners.add(borda_winner(list(combo)))
     return winners
 
@@ -115,7 +114,7 @@ class TestScoreBounds:
             assert ((1 <= lo) & (lo <= hi) & (hi <= m)).all()
             # tight: each bound is reached by some linear extension
             scores = np.array([[m - e.rank_of[c] for c in range(m)]
-                               for e in enumerate_extensions(q)])
+                               for e in linear_extensions(q)])
             assert (scores.min(axis=0) == lo).all()
             assert (scores.max(axis=0) == hi).all()
 

@@ -28,10 +28,11 @@ from iterborda.borda import borda_winner
 from iterborda.center import CenterState, Policy, TraceStep, run_election
 from iterborda.experiment import derive_seed
 from iterborda.manipulation import find_manipulation
-from iterborda.oracle import enumerate_extensions
 from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import LinearOrder, close
 from iterborda.voter import MANIPULATIVE, VoterState
+
+from center_helpers import linear_extensions
 
 TRACE_ELECTIONS = 8
 
@@ -88,7 +89,7 @@ def _exact_possible_winners(qs, memo):
     for q in qs:
         key = q.mat.tobytes()
         if key not in memo:
-            memo[key] = np.array([e.rank_of for e in enumerate_extensions(q)], dtype=np.int64)
+            memo[key] = np.array([e.rank_of for e in linear_extensions(q)], dtype=np.int64)
         rank_sets.append(memo[key])
     return {c for c in range(qs[0].m) if _can_win(rank_sets, c)}
 
@@ -96,7 +97,7 @@ def _exact_possible_winners(qs, memo):
 def _joint_winner_set(qs):
     return {
         borda_winner(list(combo))
-        for combo in itertools.product(*(enumerate_extensions(q) for q in qs))
+        for combo in itertools.product(*(linear_extensions(q) for q in qs))
     }
 
 

@@ -1,11 +1,16 @@
 """Tests for the brute-force reference machinery itself."""
 
-import math
+import itertools
 import random
 
 import pytest
 
-from iterborda.manipulation import PreconditionViolationError
+from iterborda.manipulation import (
+    ManipulationOutcome,
+    PreconditionViolationError,
+    find_manipulation,
+    is_locally_dominant,
+)
 from iterborda.oracle import (
     CapExceededError,
     closest_extensions,
@@ -21,22 +26,53 @@ from iterborda.prefs import (
     swap_distance,
 )
 
-from center_helpers import is_extension
+from center_helpers import is_extension, linear_extensions
+
+
+def _permutations_with_ranks(m):
+    """Every ranking of 0..m-1 in ``itertools.permutations`` order, with the
+    rank tuple of each."""
+    return [(perm, LinearOrder(perm).rank_of) for perm in itertools.permutations(range(m))]
+
+
+def _reference_extensions(q, p, perms):
+    """The rankings in ``perms`` that extend ``q``, in order, each with its
+    swap distance from ``p``."""
+    pairs = q.pairs()
+    return [
+        (perm, swap_distance(p, LinearOrder(perm)))
+        for perm, rank in perms
+        if all(rank[a] < rank[b] for a, b in pairs)
+    ]
+
+
+def _all_closed_relations(m):
+    """Every transitively closed strict partial order over m candidates."""
+    cells = [(a, b) for a in range(m) for b in range(m) if a != b]
+    out = []
+    for mask in range(1 << len(cells)):
+        pairs = {cells[i] for i in range(len(cells)) if mask >> i & 1}
+        if any((b, a) in pairs for a, b in pairs):
+            continue
+        if all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c):
+            out.append(close(pairs, m))
+    return out
 
 
 class TestEnumerateExtensions:
     def test_empty_relation_gives_all_permutations(self):
-        exts = enumerate_extensions(PartialOrder(3))
-        assert len(exts) == math.factorial(3)
-        assert len(set(exts)) == len(exts)
+        p = LinearOrder([2, 0, 1])
+        exts = enumerate_extensions(PartialOrder(3), p)
+        assert [r for r, _ in exts] == list(itertools.permutations(range(3)))
+        assert [d for _, d in exts] == [swap_distance(p, LinearOrder(r)) for r, _ in exts]
 
     def test_complete_chain_gives_one(self):
         chain = close({(0, 1), (1, 2), (2, 3)}, 4)
-        exts = enumerate_extensions(chain)
-        assert exts == [LinearOrder([0, 1, 2, 3])]
+        exts = enumerate_extensions(chain, LinearOrder([3, 2, 1, 0]))
+        assert exts == [((0, 1, 2, 3), 6)]
 
     def test_single_pair(self):
-        exts = enumerate_extensions(close({(0, 1)}, 3))
+        exts = linear_extensions(close({(0, 1)}, 3))
         assert len(exts) == 3
         assert all(e.prefers(0, 1) for e in exts)
 
@@ -45,13 +81,24 @@ class TestEnumerateExtensions:
         for _ in range(50):
             m = rng.randint(2, 5)
             q, _ = _random_relation_with_order(m, rng)
-            exts = enumerate_extensions(q)
+            exts = linear_extensions(q)
             assert len(set(exts)) == len(exts)
             assert all(is_extension(e, q) for e in exts)
 
+    def test_filtered_permutations_in_order_with_distances(self):
+        rng = random.Random(37)
+        cases = [q for m in range(1, 5) for q in _all_closed_relations(m)]
+        assert len(cases) == 1 + 3 + 19 + 219  # labelled posets on 1..4 points
+        cases += [_random_relation_with_order(rng.randint(5, 6), rng)[0] for _ in range(200)]
+        cases += [_random_relation_with_order(7, rng)[0] for _ in range(20)]
+        perms = {m: _permutations_with_ranks(m) for m in range(1, 8)}
+        for q in cases:
+            p = LinearOrder(rng.sample(range(q.m), q.m))
+            assert enumerate_extensions(q, p) == _reference_extensions(q, p, perms[q.m]), q
+
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            enumerate_extensions(PartialOrder(9))
+            enumerate_extensions(PartialOrder(9), LinearOrder(range(9)))
 
 
 def _random_relation_with_order(m, rng):
@@ -82,9 +129,7 @@ class TestClosestExtensions:
             assert len(dists) == 1
             best = dists.pop()
             # no consistent extension sits closer
-            assert all(
-                swap_distance(p, e) >= best for e in enumerate_extensions(forced)
-            )
+            assert all(d >= best for _, d in enumerate_extensions(forced, p))
             assert all(is_extension(e, forced) for e in members)
 
     def test_forced_pair_ends_up_adjacent(self):
@@ -123,6 +168,34 @@ class TestOracleManipulation:
         for cj, ck in ((0, 1), (1, 0)):
             with pytest.raises(PreconditionViolationError):
                 oracle_manipulation(LinearOrder([0, 1, 2]), q, {1, 2}, cj, ck)
+
+    def test_unoriented_query_rejected(self):
+        # the voter ranks 0 above 2, so the query must be asked as (0, 2)
+        args = (LinearOrder([0, 1, 2]), PartialOrder(3), {1, 2}, 2, 0)
+        for search in (find_manipulation, oracle_manipulation):
+            with pytest.raises(PreconditionViolationError, match="does not rank 2 above 0"):
+                search(*args)
+
+    def test_matches_permutation_reference(self):
+        # the first locally dominant ranking, in lexicographic order, among the
+        # consistent rewrites at minimal swap distance
+        rng = random.Random(61)
+        perms = {m: _permutations_with_ranks(m) for m in range(2, 8)}
+        for i in range(2050):
+            m = rng.randint(2, 6) if i < 2000 else 7
+            p, q, pw, cj, ck = random_instance(m, rng)
+            rewrites = _reference_extensions(add_preference(q, ck, cj), p, perms[m])
+            best = min(d for _, d in rewrites)
+            pw_ordered = sorted(pw, key=p.rank_of.__getitem__)
+            expected = next(
+                (
+                    ManipulationOutcome(True, LinearOrder(r), d)
+                    for r, d in rewrites
+                    if d == best and is_locally_dominant(LinearOrder(r), p, pw_ordered)
+                ),
+                ManipulationOutcome(False, p, 0),
+            )
+            assert oracle_manipulation(p, q, pw, cj, ck) == expected, (p, q, pw, cj, ck)
 
     def test_cap_propagates(self):
         with pytest.raises(CapExceededError):
