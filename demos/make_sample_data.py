@@ -1,9 +1,10 @@
 """Regenerate the bundled .soc sample files.
 
 The package ships two synthetic preference samples in iterborda/data/ so the
-tests, demos and the acceptance sweep run offline.  They are drawn from a
-two-cluster Mallows mixture (repeated-insertion sampling), which gives the
-moderately correlated rankings typical of real preference data; drop real
+tests, demos and the acceptance sweep run offline.  Each is drawn from a
+single Mallows model centred on the identity ranking ``0, 1, ..., m-1``
+(repeated-insertion sampling), which gives the moderately correlated
+rankings typical of real preference data; drop real
 PrefLib .soc files next to them if you want to rerun the experiments on
 actual survey data.
 

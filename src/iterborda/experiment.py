@@ -12,10 +12,10 @@ before writing, so the CSV bytes do not depend on worker scheduling.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import hashlib
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -196,7 +196,8 @@ def run_experiment(cfg: ExperimentConfig, ds: Dataset | None = None) -> list[Run
     # the pool forks all its workers at once, so start no more than there are cells
     workers = min(cfg.workers, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up here, so that a serial run never loads multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(
                 _run_profile_set,
                 [cfg] * len(cells),

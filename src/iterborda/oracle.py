@@ -6,6 +6,8 @@ not for production use inside election runs.  The enumeration walks
 placements on int bitmasks and carries each extension's swap distance from
 the voter's ranking as a running sum, so a :class:`LinearOrder` is built
 only for the closest rewrites; it never prunes, so it stays exhaustive.
+Random instances close their sampled pairs with :func:`prefs.close`, which
+also works on bitmasks, so an instance costs no numpy closure step.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ def enumerate_extensions(
     id order, so the rankings come out in lexicographic order.  Placing c
     above the ``rest`` still to be placed inverts, relative to ``p``, exactly
     the pairs with the members of ``rest`` that ``p`` ranks above c, so each
-    extension carries its swap distance as a running sum.
+    extension carries its swap distance as a running sum.  Once a single
+    candidate remains it can only go last, inverting nothing more, so a
+    ranking is appended at the placement that leaves one candidate, without
+    a further call.
 
     Returns ``(ranking, distance)`` pairs, distinct by construction; an empty
     relation over m candidates yields all m! rankings.  Raises
@@ -58,28 +63,31 @@ def enumerate_extensions(
         raise CapExceededError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     if p.m != m:
         raise ValueError("rankings must cover the same candidates")
-    rows = q.mat.tolist()
-    rank = p.rank_of
-    # (candidate, bit, committed-above mask, ranked-above-in-p mask)
-    steps = [
-        (
-            c,
-            1 << c,
-            sum(1 << a for a in range(m) if rows[a][c]),
-            sum(1 << a for a in range(m) if rank[a] < rank[c]),
-        )
-        for c in range(m)
-    ]
+    if m < 2:
+        return [(tuple(range(m)), 0)]
+    committed_above = [0] * m
+    for a, row in enumerate(q.mat.tolist()):
+        bit = 1 << a
+        for c, holds in enumerate(row):
+            if holds:
+                committed_above[c] |= bit
+    ranked_above = [0] * m  # in p: the running prefix of p.ranking
+    placed = 0
+    for c in p.ranking:
+        ranked_above[c] = placed
+        placed |= 1 << c
+    steps = [(c, 1 << c, committed_above[c], ranked_above[c]) for c in range(m)]
     out: list[tuple[tuple[CandidateId, ...], int]] = []
 
     def grow(prefix, remaining, d):
-        if not remaining:
-            out.append((prefix, d))
-            return
         for c, bit, preds, above in steps:
             if remaining & bit and not preds & remaining:
                 rest = remaining ^ bit
-                grow(prefix + (c,), rest, d + (rest & above).bit_count())
+                d_rest = d + (rest & above).bit_count()
+                if rest & (rest - 1):
+                    grow(prefix + (c,), rest, d_rest)
+                else:  # one candidate left: it goes last, at no further cost
+                    out.append((prefix + (c, rest.bit_length() - 1), d_rest))
 
     grow((), (1 << m) - 1, 0)
     return out

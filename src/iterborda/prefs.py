@@ -117,13 +117,40 @@ def add_preference(q: PartialOrder, a: CandidateId, b: CandidateId) -> PartialOr
 def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> PartialOrder:
     """Transitive closure of a set of precedence pairs over candidates 0..m-1.
 
-    Raises :class:`InconsistencyError` if the pairs imply a cycle.  Idempotent:
-    re-closing a closed relation's pairs reproduces it.
+    Warshall's algorithm (1962) on Python-int row masks, ``below[a]`` holding
+    the candidates committed below a; the bool matrix is built once, at the
+    end.  The closure of a pair set is unique, so the result does not depend
+    on the order of the pairs.  Raises :class:`ValueError` for a pair naming
+    a candidate outside 0..m-1, and :class:`InconsistencyError` if the pairs
+    imply a cycle (a self pair included).  Idempotent: re-closing a closed
+    relation's pairs reproduces it.
     """
-    q = PartialOrder(m)
-    for a, b in sorted(set(raw_pairs)):
-        q = add_preference(q, a, b)
-    return q
+    below = [0] * m
+    for a, b in raw_pairs:
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"pair {(a, b)!r} names a candidate outside 0..{m - 1}")
+        below[a] |= 1 << b
+    for k in range(m):
+        row = below[k]
+        if row:
+            bit = 1 << k
+            for i in range(m):
+                if below[i] & bit:
+                    below[i] |= row
+    for a in range(m):
+        if below[a] >> a & 1:
+            raise InconsistencyError(f"the pairs imply a cycle through candidate {a}")
+    # row a's mask fills bits a*m .. a*m+m-1 of one int; little-endian bytes
+    # unpack to the row-major matrix at any m, with no fixed-width overflow
+    whole = 0
+    for row in reversed(below):
+        whole = whole << m | row
+    bits = np.unpackbits(
+        np.frombuffer(whole.to_bytes((m * m + 7) // 8, "little"), np.uint8),
+        count=m * m,
+        bitorder="little",
+    )
+    return PartialOrder(m, bits.reshape(m, m).view(bool))
 
 
 def swap_distance(p: LinearOrder, p2: LinearOrder) -> int:

@@ -162,7 +162,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("iterborda.experiment.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         grid = dict(voter_counts=voter_counts, profile_sets=profile_sets)
         records = run_experiment(tiny_config(workers=workers, **grid))
         assert pools == ([] if pool_size is None else [pool_size])

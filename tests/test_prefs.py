@@ -1,13 +1,16 @@
 """Tests for rankings, closures, intervals, projections, swap distance."""
 
+import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterborda.manipulation import order_pw
+from iterborda.oracle import random_instance
 from iterborda.prefs import (
     InconsistencyError,
     LinearOrder,
@@ -18,6 +21,8 @@ from iterborda.prefs import (
 )
 
 from center_helpers import is_extension
+
+RANDOM_INSTANCES_SHA256 = "8fe75e46bcd72ce65e7008c1834f856fd1bdc449a6e37026e7594f303f6adb92"
 
 # the six-candidate example pair used throughout: c_i maps to id i-1
 P = LinearOrder([1, 0, 2, 4, 3, 5])  # c2 > c1 > c3 > c5 > c4 > c6
@@ -88,6 +93,48 @@ class TestClose:
     def test_idempotent(self, p, rng):
         q = random_consistent_relation(p, rng)
         assert close(q.pairs(), p.m) == q
+
+    def test_self_pair_raises(self):
+        with pytest.raises(InconsistencyError):
+            close({(0, 1), (2, 2)}, 3)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (3, 0), (1, 70)])
+    def test_rejects_out_of_range_ids(self, pair):
+        with pytest.raises(ValueError, match=re.escape(repr(pair))) as excinfo:
+            close({(0, 1), pair}, 3)
+        assert excinfo.type is ValueError
+
+    def test_matches_floyd_warshall(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for m in list(range(2, 31)) * 2 + [64, 70] * 3:
+            p = LinearOrder(rng.sample(range(m), m))
+            pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
+            sampled = rng.sample(pairs, rng.randrange(0, min(len(pairs), 4 * m) + 1))
+            for extra in ([], [tuple(rng.sample(range(m), 2)) for _ in range(2)]):
+                raw = sampled + extra
+                expected = floyd_warshall(raw, m)
+                if expected is None:
+                    with pytest.raises(InconsistencyError):
+                        close(raw, m)
+                else:
+                    q = close(raw, m)
+                    assert q.mat.dtype == bool and q.mat.shape == (m, m)
+                    assert q.pairs() == expected
+                outcomes.add(expected is None)
+        assert outcomes == {False, True}
+
+    def test_random_instances_pinned(self):
+        """``random_instance`` builds its relations with ``close``: 2 000 draws
+        at m = 2-8 and the generator's final state are pinned."""
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for i in range(2000):
+            p, q, pw, cj, ck = random_instance(2 + i % 7, rng)
+            fields = (p.ranking, q.mat.shape, q.mat.dtype.str, q.mat.tobytes(), sorted(pw), cj, ck)
+            digest.update(repr(fields).encode())
+        digest.update(repr(rng.getstate()).encode())
+        assert digest.hexdigest() == RANDOM_INSTANCES_SHA256
 
 
 class TestAddPreference:
