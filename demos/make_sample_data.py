@@ -20,6 +20,14 @@ from iterborda.prefs import LinearOrder
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "iterborda" / "data"
 
+# (name, m, draws, phi, seed) of each bundled sample.  sample10 mimics
+# heterogeneous real-world survey data (weak single-peak consensus); sample7
+# is a smaller, more concentrated set for demos and fast tests
+SAMPLES = [
+    ("sample10", 10, 500, 0.9, 20240501),
+    ("sample7", 7, 200, 0.7, 20240502),
+]
+
 
 def mallows_draw(center: list[int], phi: float, rng: random.Random) -> tuple[int, ...]:
     """One ranking from a Mallows distribution by repeated insertion."""
@@ -46,13 +54,7 @@ def make_sample(name: str, m: int, draws: int, phi: float, seed: int) -> Dataset
 
 def main():
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    # sample10 mimics heterogeneous real-world survey data (weak single-peak
-    # consensus); sample7 is a smaller, more concentrated set for demos and
-    # fast tests
-    for name, m, draws, phi, seed in [
-        ("sample10", 10, 500, 0.9, 20240501),
-        ("sample7", 7, 200, 0.7, 20240502),
-    ]:
+    for name, m, draws, phi, seed in SAMPLES:
         ds = make_sample(name, m, draws, phi, seed)
         path = OUT_DIR / f"{name}.soc"
         path.write_text(serialize_soc(ds), encoding="utf-8")

@@ -7,13 +7,13 @@ exists and keeps the record of the run: one trace step per query, with
 whether the voter's answer was a manipulation, which the center never sees.
 
 A round makes one pass over the answering voter's new relation: her open
-pairs update a running count of open voters per candidate pair, and her
-score bounds, computed once, move the summed midpoints the ES heuristic
-ranks by and feed her pair-difference matrix, which replaces her old one in
-the summed matrix.  The possible-winner set is rebuilt only when its mask
-moves.  Query selection maps one draw to a query by a prefix sum over the
-per-pair counts, and the exact necessary-winner test runs only once a
-single possible winner is left, which is when it can first succeed.
+pairs overwrite her column of the pair-by-voter open mask, and her score
+bounds, computed once, move the summed midpoints the ES heuristic ranks by
+and feed her pair-difference matrix, which replaces her old one in the
+summed matrix.  The possible-winner set is rebuilt only when its mask
+moves.  Query selection draws one open cell of the policy's rows of the open
+mask, and the exact necessary-winner test runs only once a single possible
+winner is left, which is when it can first succeed.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]
     """Candidate pairs (a < b) in lexicographic order, once per m.
 
     Returns the arrays of first and second candidates, indexed by pair, and
-    for each candidate the ascending indices of the m - 1 pairs touching it
-    (its ES pool).  Every array is read-only.
+    for each candidate the ascending indices of the m - 1 pairs touching it:
+    its ES pool, the rows of the open mask the ES heuristic draws from.
+    Every array is read-only.
     """
     first, second = np.triu_indices(m, 1)
     es_pools = tuple(np.flatnonzero((first == c) | (second == c)) for c in range(m))
@@ -149,10 +150,9 @@ class CenterState:
         self._first, self._second, self._es_pools = _pair_layout(m)
         # flat position of each pair (a < b) in an m x m matrix
         self._upper = self._first * m + self._second
-        pairs = len(self._first)
-        # _open[v, k]: pair k is still open for voter v; _open_count sums over v
-        self._open = np.ones((n, pairs), dtype=bool)
-        self._open_count = np.full(pairs, n, dtype=np.int64)
+        # _open[k, v]: pair k is still open for voter v; its True cells in C
+        # order are the open queries in draw order
+        self._open = np.ones((len(self._first), n), dtype=bool)
         # per voter: sigma_min + sigma_max per candidate, and the pair-diff
         # matrix; the summed midpoints rank candidates for the ES heuristic
         bounds = [score_bounds_vectors(q) for q in self.qs]
@@ -170,7 +170,7 @@ class CenterState:
         twin = copy.copy(self)
         for name in ("qs", "_mids", "_diffs"):
             setattr(twin, name, list(getattr(self, name)))
-        for name in ("_total", "_mid_total", "_open", "_open_count"):
+        for name in ("_total", "_mid_total", "_open"):
             setattr(twin, name, getattr(self, name).copy())
         return twin
 
@@ -181,7 +181,9 @@ class CenterState:
             return
         self._pw_key = key
         self.pw_cache = frozenset(np.flatnonzero(mask).tolist())
-        self._safe = (mask[self._first] & mask[self._second]).astype(np.int64)
+        # one column per voter, like _open: ANDing equal shapes beats broadcasting
+        safe = mask[self._first] & mask[self._second]
+        self._safe = np.repeat(safe[:, None], self._open.shape[1], axis=1)
 
     def necessary_winner(self) -> CandidateId | None:
         """The necessary winner, or None while it is undecided.
@@ -209,36 +211,28 @@ class CenterState:
         reaching for safe queries outside the ES pool.
 
         The pool's queries are ordered by pair (lexicographic), then voter
-        (ascending); one ``randrange`` over the pool size picks the query at
-        that position, found by a prefix sum of the per-pair open counts.
+        (ascending), the C order of its rows of the open mask; one
+        ``randrange`` over the pool size picks the query at that position.
         """
-        # pool[k] is the pair of weights[k]; None means every pair, in order.
-        # Pairs without open voters weigh 0, which the prefix sum passes over;
-        # a pool is empty when its prefix sum ends at 0, and the full pool is
-        # empty only when every pair is resolved for every voter.
+        # pool lists the pairs of rows; None means every pair, in order.  On
+        # arrays this small, take, count_nonzero and ravel().nonzero() cost
+        # about half of fancy indexing, any() and flatnonzero.
         pool = None
-        weights = self._open_count
-        ends = None
+        rows = self._open
         if policy.selector == ES:
             es_pool = self._es_pools[self._mid_total.argmax()]
-            es_weights = weights[es_pool]
-            es_ends = es_weights.cumsum()
-            if es_ends[-1]:
-                pool, weights, ends = es_pool, es_weights, es_ends
+            es_rows = rows.take(es_pool, axis=0)
+            if np.count_nonzero(es_rows):
+                pool, rows = es_pool, es_rows
         if policy.careful:
-            safe_weights = weights * (self._safe if pool is None else self._safe[pool])
-            safe_ends = safe_weights.cumsum()
-            if safe_ends[-1]:
-                weights, ends = safe_weights, safe_ends
-        if ends is None:
-            ends = weights.cumsum()
-            if not ends[-1]:
-                raise NoQueriesLeftError("all pairs resolved for all voters")
-        r = rng.randrange(int(ends[-1]))
-        k = int(ends.searchsorted(r, side="right"))
-        pair = k if pool is None else int(pool[k])
-        rank = r - int(ends[k] - weights[k])
-        voter = int(self._open[:, pair].nonzero()[0][rank])
+            safe_rows = rows & (self._safe if pool is None else self._safe.take(pool, axis=0))
+            if np.count_nonzero(safe_rows):
+                rows = safe_rows
+        flat = rows.ravel().nonzero()[0]
+        if not flat.size:
+            raise NoQueriesLeftError("all pairs resolved for all voters")
+        row, voter = divmod(int(flat[rng.randrange(flat.size)]), rows.shape[1])
+        pair = row if pool is None else int(pool[row])
         return Query(voter, int(self._first[pair]), int(self._second[pair]))
 
     def apply_response(self, query: Query, response: tuple[CandidateId, CandidateId]) -> None:
@@ -257,11 +251,7 @@ class CenterState:
         new = add_preference(old, a, b)  # raises InconsistencyError on conflict
         self.qs[v] = new
         mat = new.mat
-        settled = (mat | mat.T).take(self._upper)
-        open_v = self._open[v]
-        resolved = open_v & settled  # the pairs this answer settled
-        np.logical_not(settled, out=open_v)
-        np.subtract(self._open_count, resolved, out=self._open_count)
+        self._open[:, v] = ~(mat | mat.T).take(self._upper)
         bounds = score_bounds_vectors(new)
         mids = bounds[0] + bounds[1]
         self._mid_total -= self._mids[v]

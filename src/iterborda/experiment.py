@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field, fields
@@ -146,8 +147,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _run_profile_set(cfg: ExperimentConfig, ds: Dataset, n: int, set_index: int) -> list[RunRecord]:
-    """All runs that share one sampled voter profile set."""
+def _run_profile_set(
+    cfg: ExperimentConfig, ds: Dataset, cell: tuple[int, int]
+) -> list[RunRecord]:
+    """All runs that share one sampled voter profile set: ``cell`` is its
+    (voter count, set index)."""
+    n, set_index = cell
     profiles = sample_profiles(
         ds, n, random.Random(derive_seed(cfg.base_seed, "profiles", n, set_index))
     )
@@ -193,25 +198,16 @@ def run_experiment(cfg: ExperimentConfig, ds: Dataset | None = None) -> list[Run
     if ds is None:
         ds = load_soc(cfg.dataset)
     cells = [(n, s) for n in cfg.voter_counts for s in range(cfg.profile_sets)]
+    run_cell = functools.partial(_run_profile_set, cfg, ds)
     # the pool forks all its workers at once, so start no more than there are cells
     workers = min(cfg.workers, len(cells))
     if workers > 1:
         # looked up here, so that a serial run never loads multiprocessing
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                _run_profile_set,
-                [cfg] * len(cells),
-                [ds] * len(cells),
-                [n for n, _ in cells],
-                [s for _, s in cells],
-            )
-            records = [rec for chunk in chunks for rec in chunk]
+            chunks = list(pool.map(run_cell, cells))
     else:
-        records = [
-            rec for n, s in cells for rec in _run_profile_set(cfg, ds, n, s)
-        ]
-    records.sort()
-    return records
+        chunks = map(run_cell, cells)
+    return sorted(rec for chunk in chunks for rec in chunk)
 
 
 def summarize(records: Sequence[RunRecord]) -> list[SummaryRow]:

@@ -6,6 +6,7 @@ the fixed lexicographic tie-break order used everywhere else in the package.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -120,13 +121,15 @@ def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> Parti
     Warshall's algorithm (1962) on Python-int row masks, ``below[a]`` holding
     the candidates committed below a; the bool matrix is built once, at the
     end.  The closure of a pair set is unique, so the result does not depend
-    on the order of the pairs.  Raises :class:`ValueError` for a pair naming
-    a candidate outside 0..m-1, and :class:`InconsistencyError` if the pairs
-    imply a cycle (a self pair included).  Idempotent: re-closing a closed
-    relation's pairs reproduces it.
+    on the order of the pairs.  Raises :class:`TypeError` for an id that is
+    not an integer, :class:`ValueError` for a pair naming a candidate outside
+    0..m-1, and :class:`InconsistencyError` if the pairs imply a cycle (a self
+    pair included).  Idempotent: re-closing a closed relation's pairs
+    reproduces it.
     """
     below = [0] * m
     for a, b in raw_pairs:
+        a, b = index(a), index(b)  # numpy ints pass, floats raise TypeError
         if not (0 <= a < m and 0 <= b < m):
             raise ValueError(f"pair {(a, b)!r} names a candidate outside 0..{m - 1}")
         below[a] |= 1 << b

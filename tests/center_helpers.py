@@ -19,11 +19,11 @@ from iterborda.prefs import CandidateId, LinearOrder, PartialOrder
 
 def unresolved(state):
     """Every query the center could still usefully ask, in draw order (pair
-    lexicographic, then voter ascending), read from its voter-by-pair open
+    lexicographic, then voter ascending), read from its pair-by-voter open
     mask."""
     return [
         Query(v, a, b)
-        for a, b, voters in zip(state._first.tolist(), state._second.tolist(), state._open.T)
+        for a, b, voters in zip(state._first.tolist(), state._second.tolist(), state._open)
         for v in np.flatnonzero(voters).tolist()
     ]
 

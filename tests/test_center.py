@@ -44,7 +44,7 @@ def elicit_everything(state, order, voter):
 class TestCenterState:
     def test_fresh_unresolved_count(self):
         state = CenterState(n=4, m=5)
-        assert state._open_count.sum() == 4 * 10
+        assert state._open.shape == (10, 4) and state._open.all()
         assert len(unresolved(state)) == 40
 
     def test_closure_resolves_queries(self):
@@ -104,7 +104,7 @@ class TestCenterState:
         qs, pw = list(state.qs), state.pw_cache
         arrays = {
             name: getattr(state, name).copy()
-            for name in ("_total", "_mid_total", "_open", "_open_count")
+            for name in ("_total", "_mid_total", "_open")
         }
         twin = state.copy()
         for v, order in enumerate(orders):

@@ -15,6 +15,7 @@ import random
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -63,10 +64,10 @@ def assert_total_matches(state):
     assert np.array_equal(state._total, expected)
 
 
-def reference_open_counts(qs):
-    """Open voters per (a < b) pair, in lexicographic pair order."""
+def reference_open_mask(qs):
+    """Pair-by-voter mask of the open (a < b) pairs, in lexicographic pair order."""
     upper = np.triu_indices(qs[0].m, 1)
-    return sum((~(q.mat | q.mat.T))[upper].astype(np.int64) for q in qs).tolist()
+    return np.stack([~(q.mat | q.mat.T)[upper] for q in qs], axis=1)
 
 
 def reference_select(qs, policy, rng):
@@ -144,8 +145,7 @@ class CenterCaches(RuleBasedStateMachine):
         pair_voters = reference_pair_voters(self.state.qs)
         expected = [Query(v, a, b) for (a, b), vs in pair_voters.items() for v in vs]
         assert unresolved(self.state) == expected
-        assert self.state._open_count.tolist() == [len(vs) for vs in pair_voters.values()]
-        assert self.state._open_count.tolist() == reference_open_counts(self.state.qs)
+        assert np.array_equal(self.state._open, reference_open_mask(self.state.qs))
 
     @invariant()
     def midpoints_match_recomputation(self):
@@ -172,6 +172,26 @@ CenterCaches.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestCenterCaches = CenterCaches.TestCase
+
+
+@pytest.mark.parametrize("policy", [Policy(ES), Policy(ES, careful=True)], ids=lambda p: p.name)
+def test_es_falls_back_to_every_pair_when_its_star_is_resolved(policy):
+    # both voters put candidate 0 first: it tops the midpoints, its pairs are
+    # all resolved, and as the necessary winner it leaves no query safe
+    state = CenterState(2, 4)
+    for v in range(2):
+        for x in range(1, 4):
+            state.apply_response(Query(v, 0, x), (0, x))
+    assert int(np.argmax(reference_mid_total(state.qs))) == 0
+    rng = random.Random(12)
+    drawn = set()
+    for _ in range(200):
+        twin = cloned(rng)
+        query = state.select_query(policy, rng)
+        assert query == reference_select(state.qs, policy, twin)
+        assert rng.getstate() == twin.getstate()
+        drawn.add(query)
+    assert drawn == {Query(v, a, b) for a, b in [(1, 2), (1, 3), (2, 3)] for v in range(2)}
 
 
 def mallows30():
@@ -207,7 +227,7 @@ def test_replay_m30_checks_caches_every_round():
             assert_total_matches(state)
             assert np.array_equal(state._mid_total, reference_mid_total(qs))
             assert state.pw_cache == frozenset(possible_winners(qs))
-            assert state._open_count.tolist() == reference_open_counts(qs)
+            assert np.array_equal(state._open, reference_open_mask(qs))
         # the replay is the election run_election runs
         result = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
         assert result.trace == trace

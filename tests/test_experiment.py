@@ -140,6 +140,9 @@ class TestRunExperiment:
         c = run_experiment(tiny_config(reps_per_set=2, workers=2))
         assert a == b == c
 
+    def test_no_cells_give_no_records(self):
+        assert run_experiment(tiny_config(voter_counts=[], workers=2)) == []
+
     @pytest.mark.parametrize(
         "workers, voter_counts, profile_sets, pool_size",
         [(3, [3], 1, None), (3, [3, 4], 1, 2), (2, [3, 4], 2, 2), (1, [3, 4], 2, None)],

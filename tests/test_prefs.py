@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,13 @@ class TestClose:
         with pytest.raises(ValueError, match=re.escape(repr(pair))) as excinfo:
             close({(0, 1), pair}, 3)
         assert excinfo.type is ValueError
+
+    def test_numpy_ids_close_like_python_ints(self):
+        pairs = {(0, 1), (1, 2)}
+        ids = {(np.int64(a), np.intp(b)) for a, b in pairs}
+        assert close(ids, 3) == close(pairs, 3)
+        with pytest.raises(TypeError):
+            close({(0, 1.0)}, 3)
 
     def test_matches_floyd_warshall(self):
         rng = random.Random(17)
