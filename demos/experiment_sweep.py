@@ -13,7 +13,7 @@ Run:  python demos/experiment_sweep.py
 
 from pathlib import Path
 
-from iterborda import bundled_path
+from iterborda import Policy, bundled_path
 from iterborda.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -25,7 +25,6 @@ from iterborda.experiment import (
 cfg = ExperimentConfig(
     dataset=str(bundled_path("sample10")),
     voter_counts=[4, 8, 12],
-    policies=[("es", False), ("es", True), ("random", False), ("random", True)],
     behaviors=["truthful", "manipulative"],
     profile_sets=2,
     reps_per_set=2,
@@ -42,7 +41,7 @@ header = f"{'policy':16s} {'behavior':13s} {'n':>3s} {'manip':>7s} {'changed':>8
 print(header)
 print("-" * len(header))
 for row in rows:
-    name = ("careful-" if row.careful else "") + row.policy
+    name = Policy(row.policy, row.careful).name
     print(f"{name:16s} {row.behavior:13s} {row.n_voters:3d} "
           f"{row.mean_manipulation_ratio:7.4f} {row.mean_outcome_changed:8.3f} "
           f"{row.mean_fraction_queried:8.3f}")

@@ -35,9 +35,7 @@ def default_voter_counts() -> list[int]:
 class ExperimentConfig:
     dataset: str
     voter_counts: list[int] = field(default_factory=default_voter_counts)
-    policies: list[tuple[str, bool]] = field(
-        default_factory=lambda: [(p.selector, p.careful) for p in POLICIES]
-    )
+    policies: list[Policy] = field(default_factory=lambda: list(POLICIES))
     behaviors: list[str] = field(default_factory=lambda: list(BEHAVIORS))
     profile_sets: int = 20
     reps_per_set: int = 40
@@ -46,6 +44,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # perfbench/ still passes (selector, careful) pairs; delete once it passes POLICIES
+        self.policies = [p if isinstance(p, Policy) else Policy(*p) for p in self.policies]
         if self.profile_sets < 1 or self.reps_per_set < 1:
             raise ValueError("profile_sets and reps_per_set must be >= 1")
         if any(n < 1 for n in self.voter_counts):
@@ -55,12 +55,14 @@ class ExperimentConfig:
         for b in self.behaviors:
             if b not in BEHAVIORS:
                 raise ValueError(f"unknown behavior {b!r}")
-        # a repeated coordinate would rerun identical elections
+        # an empty coordinate list runs nothing; a repeated one reruns identical elections
         for name, values in (
             ("voter_counts", self.voter_counts),
-            ("policies", [Policy(*p).name for p in self.policies]),
+            ("policies", [p.name for p in self.policies]),
             ("behaviors", self.behaviors),
         ):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             repeated = list(dict.fromkeys(v for i, v in enumerate(values) if v in values[:i]))
             if repeated:
                 raise ValueError(f"{name} lists {repeated} more than once")
@@ -115,10 +117,12 @@ def parse_config(text: str) -> ExperimentConfig:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"config line {line_no}: expected 'key = value'")
-        raw[key.strip()] = value.strip()
+        if key in raw:
+            raise ValueError(f"config line {line_no}: key {key!r} given twice")
+        raw[key] = value
 
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known
@@ -131,8 +135,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if "voter_counts" in raw:
         kwargs["voter_counts"] = [int(tok) for tok in raw["voter_counts"].split(",")]
     if "policies" in raw:
-        policies = [Policy.parse(tok.strip().lower()) for tok in raw["policies"].split(",")]
-        kwargs["policies"] = [(p.selector, p.careful) for p in policies]
+        names = raw["policies"].split(",")
+        kwargs["policies"] = [Policy.parse(tok.strip().lower()) for tok in names]
     if "behaviors" in raw:
         kwargs["behaviors"] = [tok.strip().lower() for tok in raw["behaviors"].split(",")]
     for key in ("profile_sets", "reps_per_set", "base_seed", "workers"):
@@ -158,9 +162,8 @@ def _run_profile_set(
     )
     records = []
     for rep in range(cfg.reps_per_set):
-        for selector, careful in cfg.policies:
-            policy = Policy(selector, careful)
-            seed = derive_seed(cfg.base_seed, "run", n, set_index, rep, selector, careful)
+        for policy in cfg.policies:
+            seed = derive_seed(cfg.base_seed, "run", *cell, rep, policy.selector, policy.careful)
             results = {}
             if MANIPULATIVE in cfg.behaviors:
                 results[MANIPULATIVE] = run_election(
@@ -176,8 +179,8 @@ def _run_profile_set(
                 records.append(
                     RunRecord(
                         dataset=ds.name,
-                        policy=selector,
-                        careful=careful,
+                        policy=policy.selector,
+                        careful=policy.careful,
                         behavior=behavior,
                         n_voters=n,
                         set_index=set_index,
@@ -224,11 +227,7 @@ def summarize(records: Sequence[RunRecord]) -> list[SummaryRow]:
         k = len(recs)
         rows.append(
             SummaryRow(
-                dataset=key[0],
-                policy=key[1],
-                careful=key[2],
-                behavior=key[3],
-                n_voters=key[4],
+                *key,
                 runs=k,
                 mean_manipulation_ratio=sum(
                     r.manipulated_count / r.queries_issued for r in recs

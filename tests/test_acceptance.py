@@ -50,7 +50,7 @@ TRUTHFUL_ELECTIONS = 1_000  # criterion 2
 SWEEP_VOTER_COUNTS = list(range(4, 21))
 SWEEP_PROFILE_SETS = 5
 SWEEP_REPS = 10
-ALL_POLICIES = [("es", False), ("es", True), ("random", False), ("random", True)]
+ALL_POLICIES = [Policy("es"), Policy("es", True), Policy("random"), Policy("random", True)]
 
 
 def _report(criterion: int, ok: bool, detail: str) -> bool:
@@ -155,7 +155,6 @@ def test_criterion_3_safe_query_immunity(oracle_sweep):
 
 def test_criterion_2_truthful_correctness():
     rng = random.Random(derive_seed("acceptance-truthful"))
-    policies = [Policy(sel, careful) for sel, careful in ALL_POLICIES]
     runs = 0
     mismatches = 0
     while runs < TRUTHFUL_ELECTIONS:
@@ -163,7 +162,7 @@ def test_criterion_2_truthful_correctness():
         n = rng.randint(1, 10)
         profiles = [LinearOrder(rng.sample(range(m), m)) for _ in range(n)]
         expected = borda_winner(profiles)
-        for policy in policies:
+        for policy in ALL_POLICIES:
             result = run_election(
                 profiles, TRUTHFUL, policy, random.Random(rng.getrandbits(64))
             )
@@ -220,7 +219,7 @@ def sweep_records():
 
 
 def _policy_key(record):
-    return ("careful-" if record.careful else "") + record.policy
+    return Policy(record.policy, record.careful).name
 
 
 def _group_means(records, behavior, value):

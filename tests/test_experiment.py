@@ -24,7 +24,7 @@ def tiny_config(**overrides):
     kwargs = dict(
         dataset=str(bundled_path("sample7")),
         voter_counts=[3],
-        policies=[("es", False), ("random", True)],
+        policies=[Policy("es"), Policy("random", True)],
         behaviors=[TRUTHFUL, MANIPULATIVE],
         profile_sets=1,
         reps_per_set=1,
@@ -52,7 +52,7 @@ class TestConfig:
         )
         assert cfg.dataset == "data/sample.soc"
         assert cfg.voter_counts == [4, 5, 6]
-        assert cfg.policies == [("es", False), ("random", True)]
+        assert cfg.policies == [Policy("es"), Policy("random", True)]
         assert cfg.behaviors == [TRUTHFUL, MANIPULATIVE]
         assert (cfg.profile_sets, cfg.reps_per_set) == (5, 10)
         assert (cfg.base_seed, cfg.output, cfg.workers) == (99, "out", 2)
@@ -83,6 +83,23 @@ class TestConfig:
             tiny_config(profile_sets=0)
         with pytest.raises(ValueError):
             tiny_config(behaviors=["psychic"])
+
+    @pytest.mark.parametrize("name", ["voter_counts", "policies", "behaviors"])
+    def test_empty_coordinates_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            tiny_config(**{name: []})
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="config line 2: key 'dataset' given twice"):
+            parse_config("dataset = a.soc\ndataset = b.soc\nworkers = 1\nworkers = 3\n")
+
+    def test_policy_pairs_become_policies(self):
+        # the benchmark still passes (selector, careful) pairs
+        cfg = tiny_config(policies=[("es", False), ("random", True)])
+        assert cfg.policies == [Policy("es"), Policy("random", True)]
+        assert run_experiment(cfg) == run_experiment(tiny_config())
+        with pytest.raises(ValueError, match="selector"):
+            tiny_config(policies=[("greedy", False)])
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -139,9 +156,6 @@ class TestRunExperiment:
         b = run_experiment(tiny_config(reps_per_set=2))
         c = run_experiment(tiny_config(reps_per_set=2, workers=2))
         assert a == b == c
-
-    def test_no_cells_give_no_records(self):
-        assert run_experiment(tiny_config(voter_counts=[], workers=2)) == []
 
     @pytest.mark.parametrize(
         "workers, voter_counts, profile_sets, pool_size",

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from iterborda.center import Policy
+from iterborda.center import POLICIES
 from iterborda.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -21,7 +21,6 @@ from iterborda.experiment import (
 from iterborda.preflib import bundled_path
 from iterborda.voter import BEHAVIORS
 
-POLICIES = [Policy.parse(name) for name in ("es", "random", "careful-es", "careful-random")]
 RECORDS_SHA256 = "1cdd1f7828bc3a26aa859d6e7d01c7873635e5ed91a71ff84dd1e1657e765bc3"
 SUMMARY_SHA256 = "8522cd3e4123f60618061de97050a2af0e90acc703c099e4f3f43a3facbc2eee"
 
@@ -35,7 +34,6 @@ def test_sweep_csv_digests_are_pinned(tmp_path, workers):
     cfg = ExperimentConfig(
         dataset=str(bundled_path("sample7")),
         voter_counts=[4, 9],
-        policies=[(p.selector, p.careful) for p in POLICIES],
         behaviors=list(BEHAVIORS),
         profile_sets=2,
         reps_per_set=2,
