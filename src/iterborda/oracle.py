@@ -1,11 +1,13 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
-Everything here enumerates linear extensions outright, so it is capped at
-small candidate counts and meant for tests and the ``oracle-check`` command,
-not for production use inside election runs.  The enumeration walks
-placements on int bitmasks and carries each extension's swap distance from
-the voter's ranking as a running sum, so a :class:`LinearOrder` is built
-only for the closest rewrites; it never prunes, so it stays exhaustive.
+Everything here enumerates linear extensions, so it is capped at small
+candidate counts and meant for tests and the ``oracle-check`` command, not
+for production use inside election runs.  Both walks place candidates on int
+bitmasks and carry each extension's swap distance from the voter's ranking as
+a running sum, so a :class:`LinearOrder` is built only for the closest
+rewrites.  :func:`enumerate_extensions` never prunes, so it stays exhaustive
+and serves as the slow twin; :func:`closest_extensions` branches and bounds,
+cutting a prefix once its running distance passes the best complete one.
 Random instances close their sampled pairs with :func:`prefs.close`, which
 also works on bitmasks, so an instance costs no numpy closure step.
 """
@@ -37,6 +39,36 @@ class CapExceededError(ValueError):
     """Candidate count too large for exhaustive enumeration."""
 
 
+def _placement_steps(
+    q: PartialOrder, p: LinearOrder
+) -> list[tuple[CandidateId, int, int, int]]:
+    """One ``(c, bit, preds, above)`` step per candidate, in id order, for
+    walking the linear extensions of ``q`` on int bitmasks.
+
+    ``preds`` holds the candidates committed above c in ``q`` and ``above``
+    those ranked above c in ``p``.  Raises :class:`CapExceededError` above
+    ``DEFAULT_CAP`` candidates and :class:`ValueError` when ``p`` ranks
+    another number of candidates.
+    """
+    m = q.m
+    if m > DEFAULT_CAP:
+        raise CapExceededError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
+    if p.m != m:
+        raise ValueError("rankings must cover the same candidates")
+    committed_above = [0] * m
+    for a, row in enumerate(q.mat.tolist()):
+        bit = 1 << a
+        for c, holds in enumerate(row):
+            if holds:
+                committed_above[c] |= bit
+    ranked_above = [0] * m  # in p: the running prefix of p.ranking
+    placed = 0
+    for c in p.ranking:
+        ranked_above[c] = placed
+        placed |= 1 << c
+    return [(c, 1 << c, committed_above[c], ranked_above[c]) for c in range(m)]
+
+
 def enumerate_extensions(
     q: PartialOrder, p: LinearOrder
 ) -> list[tuple[tuple[CandidateId, ...], int]]:
@@ -58,25 +90,10 @@ def enumerate_extensions(
     relation over m candidates yields all m! rankings.  Raises
     :class:`CapExceededError` above ``DEFAULT_CAP`` candidates.
     """
+    steps = _placement_steps(q, p)
     m = q.m
-    if m > DEFAULT_CAP:
-        raise CapExceededError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
-    if p.m != m:
-        raise ValueError("rankings must cover the same candidates")
     if m < 2:
         return [(tuple(range(m)), 0)]
-    committed_above = [0] * m
-    for a, row in enumerate(q.mat.tolist()):
-        bit = 1 << a
-        for c, holds in enumerate(row):
-            if holds:
-                committed_above[c] |= bit
-    ranked_above = [0] * m  # in p: the running prefix of p.ranking
-    placed = 0
-    for c in p.ranking:
-        ranked_above[c] = placed
-        placed |= 1 << c
-    steps = [(c, 1 << c, committed_above[c], ranked_above[c]) for c in range(m)]
     out: list[tuple[tuple[CandidateId, ...], int]] = []
 
     def grow(prefix, remaining, d):
@@ -102,13 +119,41 @@ def closest_extensions(
     """All rankings consistent with ``q`` plus the forced pair "ck over cj"
     that sit at minimal swap distance from ``p``, in lexicographic order.
 
-    Full enumeration with running distances, no pruning; a
-    :class:`LinearOrder` is built only for the extensions at the minimum.
+    Branch and bound (Land & Doig, 1960) over the same placements as
+    :func:`enumerate_extensions`.  Candidates are tried in ``p``'s order, so
+    the first complete ranking lands near ``p`` and sets a tight bound early.
+    A placement whose running distance already exceeds the best complete
+    distance is cut: the running distance of a prefix never falls as the
+    prefix grows, so nothing below the cut can reach the best.  A strictly
+    closer ranking restarts the list, a tie joins it, and the survivors are
+    sorted into lexicographic order at the end.  A :class:`LinearOrder` is
+    built only for them.
     """
     forced = add_preference(q, ck, cj)
-    extensions = enumerate_extensions(forced, p)
-    best = min(d for _, d in extensions)
-    return [LinearOrder(r) for r, d in extensions if d == best]
+    steps = _placement_steps(forced, p)
+    steps = [steps[c] for c in p.ranking]
+    best = forced.m * forced.m  # above any swap distance
+    closest: list[tuple[CandidateId, ...]] = []
+
+    def grow(prefix, remaining, d):
+        nonlocal best
+        for c, bit, preds, above in steps:
+            if remaining & bit and not preds & remaining:
+                rest = remaining ^ bit
+                d_rest = d + (rest & above).bit_count()
+                if d_rest > best:
+                    continue
+                if rest & (rest - 1):
+                    grow(prefix + (c,), rest, d_rest)
+                else:  # one candidate left: it goes last, at no further cost
+                    ranking = prefix + (c, rest.bit_length() - 1)
+                    if d_rest < best:
+                        best = d_rest
+                        closest.clear()
+                    closest.append(ranking)
+
+    grow((), (1 << forced.m) - 1, 0)
+    return [LinearOrder(r) for r in sorted(closest)]
 
 
 def oracle_manipulation(

@@ -28,6 +28,7 @@ from iterborda.borda import borda_winner
 from iterborda.center import CenterState, Policy, TraceStep, run_election
 from iterborda.experiment import derive_seed
 from iterborda.manipulation import find_manipulation
+from iterborda.oracle import enumerate_extensions
 from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import LinearOrder, close
 from iterborda.voter import MANIPULATIVE, VoterState
@@ -89,7 +90,9 @@ def _exact_possible_winners(qs, memo):
     for q in qs:
         key = q.mat.tobytes()
         if key not in memo:
-            memo[key] = np.array([e.rank_of for e in linear_extensions(q)], dtype=np.int64)
+            # argsort inverts each ranking tuple into its rank_of row
+            rankings = [r for r, _ in enumerate_extensions(q, LinearOrder(range(q.m)))]
+            memo[key] = np.argsort(np.array(rankings, dtype=np.int64), axis=1)
         rank_sets.append(memo[key])
     return {c for c in range(qs[0].m) if _can_win(rank_sets, c)}
 

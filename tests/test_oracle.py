@@ -119,18 +119,25 @@ class TestClosestExtensions:
         assert members == [LinearOrder([0, 2, 1, 3])]
 
     def test_members_have_equal_minimal_distance(self):
+        # the pruned walk returns exactly the exhaustive walk's extensions at
+        # minimal distance, in the same (lexicographic) order
         rng = random.Random(43)
+        cases = []
+        for q in (q for m in range(2, 5) for q in _all_closed_relations(m)):
+            extensions = linear_extensions(q)
+            for a, b in q.unresolved_pairs():
+                p = rng.choice(extensions)
+                cj, ck = (a, b) if p.prefers(a, b) else (b, a)
+                cases.append((p, q, cj, ck))
+        assert len(cases) > 500
         for _ in range(200):
-            m = rng.randint(3, 5)
-            p, q, pw, cj, ck = random_instance(m, rng)
-            members = closest_extensions(p, q, ck, cj)
-            forced = add_preference(q, ck, cj)
-            dists = {swap_distance(p, e) for e in members}
-            assert len(dists) == 1
-            best = dists.pop()
-            # no consistent extension sits closer
-            assert all(d >= best for _, d in enumerate_extensions(forced, p))
-            assert all(is_extension(e, forced) for e in members)
+            p, q, pw, cj, ck = random_instance(rng.randint(5, 8), rng)
+            cases.append((p, q, cj, ck))
+        for p, q, cj, ck in cases:
+            exts = enumerate_extensions(add_preference(q, ck, cj), p)
+            min_d = min(d for _, d in exts)
+            expected = [LinearOrder(r) for r, d in exts if d == min_d]
+            assert closest_extensions(p, q, ck, cj) == expected, (p, q, cj, ck)
 
     def test_forced_pair_ends_up_adjacent(self):
         rng = random.Random(47)
