@@ -13,6 +13,7 @@ Run from the repository root:  python demos/make_sample_data.py
 
 import random
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 from iterborda.preflib import Dataset, serialize_soc
@@ -29,18 +30,27 @@ SAMPLES = [
 ]
 
 
-def mallows_draw(center: list[int], phi: float, rng: random.Random) -> tuple[int, ...]:
-    """One ranking from a Mallows distribution by repeated insertion."""
+def insertion_weights(m: int, phi: float) -> list[list[float]]:
+    """Cumulative Mallows insertion weights, one list per insertion step: at
+    step i, position j of the i+1 open ones weighs ``phi ** (i - j)``."""
+    return [list(accumulate(phi ** (i - j) for j in range(i + 1))) for i in range(m)]
+
+
+def mallows_draw(
+    center: list[int], cum_weights: list[list[float]], rng: random.Random
+) -> tuple[int, ...]:
+    """One ranking from a Mallows distribution by repeated insertion, with
+    the weights of :func:`insertion_weights`."""
     out: list[int] = []
     for i, item in enumerate(center):
-        weights = [phi ** (i - j) for j in range(i + 1)]
-        out.insert(rng.choices(range(i + 1), weights=weights)[0], item)
+        out.insert(rng.choices(range(i + 1), cum_weights=cum_weights[i])[0], item)
     return tuple(out)
 
 
 def make_sample(name: str, m: int, draws: int, phi: float, seed: int) -> Dataset:
     rng = random.Random(seed)
-    counts = Counter(mallows_draw(list(range(m)), phi, rng) for _ in range(draws))
+    cum_weights = insertion_weights(m, phi)
+    counts = Counter(mallows_draw(list(range(m)), cum_weights, rng) for _ in range(draws))
     entries = [
         (LinearOrder(ranking), count)
         for ranking, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

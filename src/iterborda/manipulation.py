@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .prefs import CandidateId, LinearOrder, PartialOrder, swap_distance
+from .prefs import CandidateId, LinearOrder, PartialOrder
+# swap_distance is unused here; it stays bound because perfbench/tracer.py patches it by name
+from .prefs import swap_distance  # noqa: F401
 
 
 class PreconditionViolationError(ValueError):
@@ -131,8 +133,9 @@ def find_manipulation(
     Moving the pivot up from ck one rank moves one candidate from T to U and
     updates every term in O(1), so all distances cost O(m).  A ranking is
     built, in O(m log m), only at the pivots of smallest distance, scanned
-    upward from ck; the first locally dominant one is adopted.  If none is,
-    the voter keeps her current ranking.
+    upward from ck; the first locally dominant one is adopted and reported
+    at that smallest distance, with no recount.  If none is, the voter keeps
+    her current ranking.
     """
     mat = q.mat
     if mat.item(cj, ck) or mat.item(ck, cj):
@@ -196,6 +199,6 @@ def find_manipulation(
                 + tail
             )
             if is_locally_dominant(candidate, p, pw_ordered):
-                return ManipulationOutcome(True, candidate, swap_distance(p, candidate))
+                return ManipulationOutcome(True, candidate, d_abs)
         split -= 1
     return ManipulationOutcome(False, p, 0)

@@ -7,15 +7,19 @@ bitmasks and carry each extension's swap distance from the voter's ranking as
 a running sum, so a :class:`LinearOrder` is built only for the closest
 rewrites.  :func:`enumerate_extensions` never prunes, so it stays exhaustive
 and serves as the slow twin; :func:`closest_extensions` branches and bounds,
-cutting a prefix once its running distance passes the best complete one.
-Random instances close their sampled pairs with :func:`prefs.close`, which
-also works on bitmasks, so an instance costs no numpy closure step.
+cutting a prefix once its running distance passes the best complete one, and
+folds its forced pair into the masks as it reads them.  Random instances
+close their sampled pairs on the row masks of :func:`prefs.close`, read the
+open pairs off them, and build the bool matrix once, for the relation they
+return.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable
+
+import numpy as np
 
 from .manipulation import (
     ManipulationOutcome,
@@ -25,12 +29,15 @@ from .manipulation import (
 )
 from .prefs import (
     CandidateId,
+    InconsistencyError,
     LinearOrder,
     PartialOrder,
-    add_preference,
-    close,
+    _closed_rows,
+    _order_from_rows,
     swap_distance,
 )
+# add_preference and close are unused here; they stay bound because perfbench/tracer.py patches them by name
+from .prefs import add_preference, close  # noqa: F401
 
 DEFAULT_CAP = 8
 
@@ -40,27 +47,43 @@ class CapExceededError(ValueError):
 
 
 def _placement_steps(
-    q: PartialOrder, p: LinearOrder
+    q: PartialOrder,
+    p: LinearOrder,
+    forced: tuple[CandidateId, CandidateId] | None = None,
 ) -> list[tuple[CandidateId, int, int, int]]:
     """One ``(c, bit, preds, above)`` step per candidate, in id order, for
     walking the linear extensions of ``q`` on int bitmasks.
 
     ``preds`` holds the candidates committed above c in ``q`` and ``above``
-    those ranked above c in ``p``.  Raises :class:`CapExceededError` above
-    ``DEFAULT_CAP`` candidates and :class:`ValueError` when ``p`` ranks
-    another number of candidates.
+    those ranked above c in ``p``.  At most ``DEFAULT_CAP`` = 8 candidates,
+    column c of ``q.mat`` packs into one byte, bit a set when a is committed
+    over c.  A ``forced`` pair ``(ck, cj)`` is folded in as "ck over cj":
+    every candidate at or below cj gains ck and the candidates above ck, so
+    the steps equal those of ``add_preference(q, ck, cj)``.  Raises
+    :class:`CapExceededError` above ``DEFAULT_CAP`` candidates,
+    :class:`ValueError` when ``p`` ranks another number of candidates, and
+    :class:`InconsistencyError`, as ``add_preference`` does, when the forced
+    pair contradicts ``q``.
     """
     m = q.m
     if m > DEFAULT_CAP:
         raise CapExceededError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     if p.m != m:
         raise ValueError("rankings must cover the same candidates")
-    committed_above = [0] * m
-    for a, row in enumerate(q.mat.tolist()):
-        bit = 1 << a
-        for c, holds in enumerate(row):
-            if holds:
-                committed_above[c] |= bit
+    committed_above = np.packbits(q.mat, axis=0, bitorder="little")[0].tolist() if m else []
+    if forced is not None:
+        ck, cj = forced
+        if ck == cj:
+            raise InconsistencyError(f"candidate {ck} cannot precede itself")
+        if committed_above[ck] >> cj & 1:
+            raise InconsistencyError(
+                f"cannot add {ck} over {cj}: {cj} over {ck} already committed"
+            )
+        gain = committed_above[ck] | 1 << ck
+        cj_bit = 1 << cj
+        for c in range(m):
+            if c == cj or committed_above[c] & cj_bit:
+                committed_above[c] |= gain
     ranked_above = [0] * m  # in p: the running prefix of p.ranking
     placed = 0
     for c in p.ranking:
@@ -127,12 +150,14 @@ def closest_extensions(
     prefix grows, so nothing below the cut can reach the best.  A strictly
     closer ranking restarts the list, a tie joins it, and the survivors are
     sorted into lexicographic order at the end.  A :class:`LinearOrder` is
-    built only for them.
+    built only for them.  The forced pair is folded into the walk's set-up
+    rather than added to ``q``; :class:`InconsistencyError` is raised when
+    ``q`` commits cj over ck.
     """
-    forced = add_preference(q, ck, cj)
-    steps = _placement_steps(forced, p)
+    steps = _placement_steps(q, p, (ck, cj))
     steps = [steps[c] for c in p.ranking]
-    best = forced.m * forced.m  # above any swap distance
+    m = q.m
+    best = m * m  # above any swap distance
     closest: list[tuple[CandidateId, ...]] = []
 
     def grow(prefix, remaining, d):
@@ -152,7 +177,7 @@ def closest_extensions(
                         closest.clear()
                     closest.append(ranking)
 
-    grow((), (1 << forced.m) - 1, 0)
+    grow((), (1 << m) - 1, 0)
     return [LinearOrder(r) for r in sorted(closest)]
 
 
@@ -190,18 +215,25 @@ def random_instance(
 
     The partial order is built from pairs sampled within ``p`` so the ranking
     always extends it, the query pair is uncommitted and oriented by ``p``,
-    and the possible-winner set is a random nonempty candidate subset.
+    and the possible-winner set is a random nonempty candidate subset.  The
+    sampled pairs are closed on row masks, the open pairs read off them, and
+    the bool matrix built once, for the relation returned.
     """
     p = LinearOrder(rng.sample(range(m), m))
     rank = p.rank_of
-    all_pairs = [(a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]]
+    all_pairs = [(a, b) for a, ra in enumerate(rank) for b, rb in enumerate(rank) if ra < rb]
     while True:
         k = rng.randrange(0, m * (m - 1) // 2)
-        q = close(rng.sample(all_pairs, k), m)
-        open_pairs = q.unresolved_pairs()
+        below = _closed_rows(rng.sample(all_pairs, k), m)
+        open_pairs = [
+            (a, b)
+            for a in range(m)
+            for b in range(a + 1, m)
+            if not (below[a] >> b | below[b] >> a) & 1
+        ]
         if open_pairs:
             break
     a, b = rng.choice(open_pairs)
     cj, ck = (a, b) if p.prefers(a, b) else (b, a)
     pw = set(rng.sample(range(m), rng.randint(1, m)))
-    return p, q, pw, cj, ck
+    return p, _order_from_rows(below, m), pw, cj, ck

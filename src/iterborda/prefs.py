@@ -72,16 +72,6 @@ class PartialOrder:
     def pairs(self) -> set[tuple[CandidateId, CandidateId]]:
         return {(int(a), int(b)) for a, b in np.argwhere(self.mat)}
 
-    def unresolved_pairs(self) -> list[tuple[CandidateId, CandidateId]]:
-        """All candidate pairs (a < b) with neither direction committed."""
-        rows = self.mat.tolist()
-        return [
-            (a, b)
-            for a in range(self.m)
-            for b in range(a + 1, self.m)
-            if not rows[a][b] and not rows[b][a]
-        ]
-
     def __eq__(self, other):
         return (
             isinstance(other, PartialOrder)
@@ -125,8 +115,16 @@ def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> Parti
     not an integer, :class:`ValueError` for a pair naming a candidate outside
     0..m-1, and :class:`InconsistencyError` if the pairs imply a cycle (a self
     pair included).  Idempotent: re-closing a closed relation's pairs
-    reproduces it.
+    reproduces it.  The two steps, the row masks (:func:`_closed_rows`) and
+    the matrix built from them (:func:`_order_from_rows`), are separate so
+    that ``oracle.random_instance`` can read open pairs off the masks.
     """
+    return _order_from_rows(_closed_rows(raw_pairs, m), m)
+
+
+def _closed_rows(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> list[int]:
+    """The row masks of :func:`close`: ``below[a]`` holds the candidates the
+    closure commits below a.  Validates and raises as :func:`close` does."""
     below = [0] * m
     for a, b in raw_pairs:
         a, b = index(a), index(b)  # numpy ints pass, floats raise TypeError
@@ -143,6 +141,11 @@ def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> Parti
     for a in range(m):
         if below[a] >> a & 1:
             raise InconsistencyError(f"the pairs imply a cycle through candidate {a}")
+    return below
+
+
+def _order_from_rows(below: list[int], m: int) -> PartialOrder:
+    """The relation whose row a commits a over the candidates in ``below[a]``."""
     # row a's mask fills bits a*m .. a*m+m-1 of one int; little-endian bytes
     # unpack to the row-major matrix at any m, with no fixed-width overflow
     whole = 0

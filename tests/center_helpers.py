@@ -1,6 +1,6 @@
 """From-scratch references the tests compare the center against, test-side
-views of a ``CenterState``'s private caches, and linear extensions as
-rankings."""
+views of a ``CenterState``'s private caches, a relation's open pairs, and
+linear extensions as rankings."""
 
 from typing import Sequence
 
@@ -53,6 +53,17 @@ def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:
     if not qs:
         raise ValueError("need at least one voter")
     return necessary_winner_from_total(_summed_diffs(qs))
+
+
+def unresolved_pairs(q: PartialOrder) -> list[tuple[CandidateId, CandidateId]]:
+    """All candidate pairs (a < b) of ``q`` with neither direction committed."""
+    rows = q.mat.tolist()
+    return [
+        (a, b)
+        for a in range(q.m)
+        for b in range(a + 1, q.m)
+        if not rows[a][b] and not rows[b][a]
+    ]
 
 
 def is_extension(p: LinearOrder, q: PartialOrder) -> bool:

@@ -41,7 +41,7 @@ from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
-from center_helpers import is_extension, linear_extensions
+from center_helpers import is_extension, linear_extensions, unresolved_pairs
 
 RANDOM_INSTANCES_PER_M = 10_000  # criterion 1, at m=5 and at m=6
 SCORE_BOUND_INSTANCES = 12_000  # criterion 4, m in 3..6
@@ -100,7 +100,7 @@ def oracle_sweep():
     pw_sets = [set(s) for size in range(1, m + 1)
                for s in itertools.combinations(range(m), size)]
     for q in _all_small_closures(m, max_pairs=3):
-        open_pairs = q.unresolved_pairs()
+        open_pairs = unresolved_pairs(q)
         for p in perms:
             if not is_extension(p, q):
                 continue

@@ -15,7 +15,12 @@ from iterborda.borda import (
 )
 from iterborda.prefs import LinearOrder, PartialOrder, close
 
-from center_helpers import linear_extensions, necessary_winner, possible_winners
+from center_helpers import (
+    linear_extensions,
+    necessary_winner,
+    possible_winners,
+    unresolved_pairs,
+)
 
 
 def lin(*ranking):
@@ -254,7 +259,7 @@ class TestPossibleWinners:
             previous = possible_winners(qs)
             for _ in range(6):
                 v = rng.randrange(n)
-                open_pairs = qs[v].unresolved_pairs()
+                open_pairs = unresolved_pairs(qs[v])
                 if not open_pairs:
                     continue
                 a, b = rng.choice(open_pairs)

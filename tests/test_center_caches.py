@@ -34,7 +34,7 @@ from iterborda.center import (
 from iterborda.preflib import sample_profiles
 from iterborda.voter import MANIPULATIVE, VoterState
 
-from center_helpers import necessary_winner, possible_winners, unresolved
+from center_helpers import necessary_winner, possible_winners, unresolved, unresolved_pairs
 
 ALL_POLICIES = [Policy(sel, careful) for sel in ("es", "random") for careful in (False, True)]
 
@@ -42,7 +42,7 @@ ALL_POLICIES = [Policy(sel, careful) for sel in ("es", "random") for careful in 
 def reference_pair_voters(qs):
     """Unresolved (a < b) pair -> voters for whom it is open, in draw order."""
     m = qs[0].m
-    open_sets = [set(q.unresolved_pairs()) for q in qs]
+    open_sets = [set(unresolved_pairs(q)) for q in qs]
     return {
         (a, b): [v for v, pairs in enumerate(open_sets) if (a, b) in pairs]
         for a in range(m)

@@ -13,12 +13,14 @@ from iterborda.manipulation import (
 )
 from iterborda.oracle import (
     CapExceededError,
+    _placement_steps,
     closest_extensions,
     enumerate_extensions,
     oracle_manipulation,
     random_instance,
 )
 from iterborda.prefs import (
+    InconsistencyError,
     LinearOrder,
     PartialOrder,
     add_preference,
@@ -26,7 +28,7 @@ from iterborda.prefs import (
     swap_distance,
 )
 
-from center_helpers import is_extension, linear_extensions
+from center_helpers import is_extension, linear_extensions, unresolved_pairs
 
 
 def _permutations_with_ranks(m):
@@ -108,6 +110,31 @@ def _random_relation_with_order(m, rng):
     return q, p
 
 
+class TestPlacementSteps:
+    def test_forced_pair_matches_added_preference(self):
+        # folding "ck over cj" into the packed masks gives the steps of the
+        # numpy add_preference path, for open and already-committed pairs
+        rng = random.Random(67)
+        relations = [q for m in range(2, 5) for q in _all_closed_relations(m)]
+        relations += [random_instance(m, rng)[1] for m in range(5, 9) for _ in range(50)]
+        checked = 0
+        for q in relations:
+            p = LinearOrder(rng.sample(range(q.m), q.m))
+            for ck, cj in itertools.permutations(range(q.m), 2):
+                if q.holds(cj, ck):
+                    continue
+                expected = _placement_steps(add_preference(q, ck, cj), p)
+                assert _placement_steps(q, p, (ck, cj)) == expected, (q, ck, cj)
+                checked += 1
+        assert checked > 5000
+
+    def test_full_columns_at_cap(self):
+        # at m = 8 a column whose candidate sits below all others fills its byte
+        chain = close({(c, c + 1) for c in range(7)}, 8)
+        steps = _placement_steps(chain, LinearOrder(range(8)))
+        assert [preds for _, _, preds, _ in steps] == [(1 << c) - 1 for c in range(8)]
+
+
 class TestClosestExtensions:
     def test_toy_example_unique_swap(self):
         members = closest_extensions(LinearOrder([0, 1, 2]), PartialOrder(3), 1, 0)
@@ -125,7 +152,7 @@ class TestClosestExtensions:
         cases = []
         for q in (q for m in range(2, 5) for q in _all_closed_relations(m)):
             extensions = linear_extensions(q)
-            for a, b in q.unresolved_pairs():
+            for a, b in unresolved_pairs(q):
                 p = rng.choice(extensions)
                 cj, ck = (a, b) if p.prefers(a, b) else (b, a)
                 cases.append((p, q, cj, ck))
@@ -138,6 +165,12 @@ class TestClosestExtensions:
             min_d = min(d for _, d in exts)
             expected = [LinearOrder(r) for r, d in exts if d == min_d]
             assert closest_extensions(p, q, ck, cj) == expected, (p, q, cj, ck)
+
+    def test_contradicted_forced_pair_rejected(self):
+        # q commits 0 over 2 by transitivity, so 2 cannot be forced over 0
+        q = close({(0, 1), (1, 2)}, 3)
+        with pytest.raises(InconsistencyError):
+            closest_extensions(LinearOrder([0, 1, 2]), q, 2, 0)
 
     def test_forced_pair_ends_up_adjacent(self):
         rng = random.Random(47)

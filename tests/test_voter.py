@@ -10,7 +10,7 @@ from iterborda.manipulation import PreconditionViolationError, order_pw
 from iterborda.prefs import LinearOrder, PartialOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
-from center_helpers import is_extension
+from center_helpers import is_extension, unresolved_pairs
 
 
 class TestTruthful:
@@ -39,7 +39,7 @@ class TestTruthful:
             answer, _ = vs.respond(a, b, q, {0, 1}, TRUTHFUL)
             state.apply_response(Query(0, a, b), answer)
         assert vs.p_current == vs.p_true == p
-        assert not state.qs[0].unresolved_pairs()  # complete
+        assert not unresolved_pairs(state.qs[0])  # complete
 
 
 class TestManipulative:
@@ -110,7 +110,7 @@ class TestManipulative:
                 assert is_extension(vs.p_current, state.qs[0])
                 if manipulated:
                     assert order_pw(vs.p_current, pw) == order_pw(before, pw)
-            assert not state.qs[0].unresolved_pairs()  # complete
+            assert not unresolved_pairs(state.qs[0])  # complete
 
     def test_current_order_always_extends_mirror(self):
         rng = random.Random(13)
