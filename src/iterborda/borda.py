@@ -5,7 +5,9 @@ scores run from m down to 1.  Under a partial order the score of a candidate
 is only bounded; the pairwise score-difference extremes computed here are
 exact over the linear extensions of a single voter's relation, which makes
 the necessary-winner test exact while the possible-winner test is a sound
-polynomial superset of the (NP-hard) exact set.
+polynomial superset of the (NP-hard) exact set.  That set is never empty,
+so a necessary winner exists exactly when the superset has one member; the
+center stops there, and the tests keep the necessary-winner test as reference.
 
 The pair extremes follow from the score bounds: unless c2 is committed over
 c, the maximum of score(c) - score(c2) is sigma_max(c) - sigma_min(c2), so

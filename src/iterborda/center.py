@@ -2,8 +2,9 @@
 
 The center knows nothing about the voters beyond their answers.  It keeps one
 transitively closed relation per voter and recomputes the possible-winner set
-after every answer.  The election loop stops as soon as a necessary winner
-exists and keeps the record of the run: one trace step per query, with
+after every answer.  The election loop stops as soon as one possible winner is
+left, which for the published relaxation is exactly when a necessary winner
+exists, and keeps the record of the run: one trace step per query, with
 whether the voter's answer was a manipulation, which the center never sees.
 
 A round makes one pass over the answering voter's new relation: her open
@@ -12,8 +13,7 @@ bounds, computed once, move the summed midpoints the ES heuristic ranks by
 and feed her pair-difference matrix, which replaces her old one in the
 summed matrix.  The possible-winner set is rebuilt only when its mask
 moves.  Query selection draws one open cell of the policy's rows of the open
-mask, and the exact necessary-winner test runs only once a single possible
-winner is left, which is when it can first succeed.
+mask.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
+# necessary_winner_from_total is unused here; it stays bound because perfbench/tracer.py patches it by name
+from .borda import necessary_winner_from_total  # noqa: F401
 from .borda import (
-    necessary_winner_from_total,
     pair_diff_matrix,
     possible_winners_from_total,
     score_bounds_vectors,
@@ -46,7 +47,7 @@ class NoQueriesLeftError(RuntimeError):
 
 
 class TraceInvariantError(AssertionError):
-    """A voter's behaviour broke an invariant the theory guarantees."""
+    """A manipulation reordered the possible winners or did not widen their span."""
 
 
 @dataclass(frozen=True)
@@ -186,18 +187,17 @@ class CenterState:
         self._safe = np.repeat(safe[:, None], self._open.shape[1], axis=1)
 
     def necessary_winner(self) -> CandidateId | None:
-        """The necessary winner, or None while it is undecided.
+        """The lone possible winner, which is the necessary winner, or None.
 
         With ``thr[x, y]`` = 1 when y wins ties against x and 0 otherwise, c
         is the necessary winner when ``-_total[c2, c] >= thr[c, c2]`` for
         every rival c2, and c2 is a possible winner only if
         ``_total[c2, c] >= thr[c2, c]``.  The two thresholds sum to 1, so a
-        necessary winner leaves no rival possible.  While two or more
-        candidates are possible winners the exact test is therefore skipped.
+        necessary winner leaves no rival possible.  Conversely the published
+        set contains the exact one, which is never empty, so a lone possible
+        winner wins every completion.
         """
-        if len(self.pw_cache) > 1:
-            return None
-        return necessary_winner_from_total(self._total)
+        return next(iter(self.pw_cache)) if len(self.pw_cache) == 1 else None
 
     def select_query(self, policy: Policy, rng: random.Random) -> Query:
         """Draw the next query under the policy, uniformly within its pool.
@@ -277,8 +277,9 @@ def run_election(
     incorporate-answer until a necessary winner exists, which is guaranteed
     within n*m*(m-1)/2 queries.  It raises :class:`TraceInvariantError` when a
     manipulation reorders the possible winners against the voter's earlier
-    ranking or fails to strictly widen their span, or when a voter's current
-    ranking orders the final possible winners differently from her true one.
+    ranking or fails to strictly widen their span.  As the set only shrinks,
+    the first check keeps every current ranking ordering the possible winners
+    as the true one does; acceptance criterion 8 checks that per round.
 
     ``twin`` is the manipulative run on the same profiles, policy and seed;
     only a truthful run accepts it.  The two runs agree up to the twin's
@@ -339,17 +340,6 @@ def run_election(
             fork = (state.copy(), rng.getstate())
         state.apply_response(query, answer)
         trace.append(TraceStep(query, answer, manipulated, pw))
-
-    # Current rankings only ever change against the possible winners they
-    # saw, and the set shrinks monotonically, so agreement on the final set
-    # certifies agreement at every earlier round.
-    final_pw = state.pw_cache
-    for vs in voters:
-        if order_pw(vs.p_current, final_pw) != order_pw(vs.p_true, final_pw):
-            raise TraceInvariantError(
-                "a voter's current ranking orders the possible winners "
-                "differently from her true ranking"
-            )
 
     return ElectionResult(
         winner=winner,

@@ -117,7 +117,7 @@ def _cmd_oracle_check(args) -> int:
         p, q, pw, cj, ck = random_instance(args.m, rng)
         fast = find_manipulation(p, q, pw, cj, ck)
         slow = oracle_manipulation(p, q, pw, cj, ck)
-        if fast.changed != slow.changed or fast.distance != slow.distance:
+        if fast != slow:
             print(f"MISMATCH at instance {i}:")
             print(f"  p  = {list(p.ranking)}")
             print(f"  q  = {sorted(q.pairs())}")

@@ -133,9 +133,10 @@ def find_manipulation(
     Moving the pivot up from ck one rank moves one candidate from T to U and
     updates every term in O(1), so all distances cost O(m).  A ranking is
     built, in O(m log m), only at the pivots of smallest distance, scanned
-    upward from ck; the first locally dominant one is adopted and reported
-    at that smallest distance, with no recount.  If none is, the voter keeps
-    her current ranking.
+    upward from ck, which never lowers cj: of the tied minimal dominant
+    rewrites, the voter adopts the first, the one that ranks cj lowest, at
+    that smallest distance, with no recount.  If none is, she keeps her
+    current ranking.
     """
     mat = q.mat
     if mat.item(cj, ck) or mat.item(ck, cj):

@@ -57,9 +57,9 @@ def _placement_steps(
     ``preds`` holds the candidates committed above c in ``q`` and ``above``
     those ranked above c in ``p``.  At most ``DEFAULT_CAP`` = 8 candidates,
     column c of ``q.mat`` packs into one byte, bit a set when a is committed
-    over c.  A ``forced`` pair ``(ck, cj)`` is folded in as "ck over cj":
-    every candidate at or below cj gains ck and the candidates above ck, so
-    the steps equal those of ``add_preference(q, ck, cj)``.  Raises
+    over c.  A ``forced`` pair ``(ck, cj)`` is folded in as the one bit "ck
+    over cj" in cj's mask; placement order is itself transitive, so the walks
+    yield the extensions of ``add_preference(q, ck, cj)``.  Raises
     :class:`CapExceededError` above ``DEFAULT_CAP`` candidates,
     :class:`ValueError` when ``p`` ranks another number of candidates, and
     :class:`InconsistencyError`, as ``add_preference`` does, when the forced
@@ -79,11 +79,7 @@ def _placement_steps(
             raise InconsistencyError(
                 f"cannot add {ck} over {cj}: {cj} over {ck} already committed"
             )
-        gain = committed_above[ck] | 1 << ck
-        cj_bit = 1 << cj
-        for c in range(m):
-            if c == cj or committed_above[c] & cj_bit:
-                committed_above[c] |= gain
+        committed_above[cj] |= 1 << ck
     ranked_above = [0] * m  # in p: the running prefix of p.ranking
     placed = 0
     for c in p.ranking:
@@ -190,9 +186,9 @@ def oracle_manipulation(
 ) -> ManipulationOutcome:
     """Reference manipulation search by exhaustive enumeration.
 
-    Scans every minimal-distance consistent rewrite that answers ck over cj
-    and returns one that is locally dominant, if any; otherwise reports no
-    change.  Same contract as
+    Of the consistent rewrites at minimal swap distance that answer ck over
+    cj and are locally dominant, adopts the one that ranks cj lowest; if
+    there are none, reports no change.  Same contract and tie rule as
     :func:`iterborda.manipulation.find_manipulation`.
     """
     if q.holds(cj, ck) or q.holds(ck, cj):
@@ -202,10 +198,13 @@ def oracle_manipulation(
     if not p.prefers(cj, ck):
         raise PreconditionViolationError(f"voter does not rank {cj} above {ck}")
     pw_ordered = order_pw(p, pw)
-    for candidate in closest_extensions(p, q, ck, cj):
-        if is_locally_dominant(candidate, p, pw_ordered):
-            return ManipulationOutcome(True, candidate, swap_distance(p, candidate))
-    return ManipulationOutcome(False, p, 0)
+    dominant = [
+        r for r in closest_extensions(p, q, ck, cj) if is_locally_dominant(r, p, pw_ordered)
+    ]
+    if not dominant:
+        return ManipulationOutcome(False, p, 0)
+    adopted = max(dominant, key=lambda r: r.rank_of[cj])
+    return ManipulationOutcome(True, adopted, swap_distance(p, adopted))
 
 
 def random_instance(

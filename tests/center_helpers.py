@@ -1,12 +1,14 @@
 """From-scratch references the tests compare the center against, test-side
-views of a ``CenterState``'s private caches, a relation's open pairs, and
-linear extensions as rankings."""
+views of a ``CenterState``'s private caches, a relation's open pairs, linear
+extensions as rankings, and random relations."""
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from iterborda.borda import (
+    borda_winner,
     necessary_winner_from_total,
     pair_diff_matrix,
     possible_winners_from_total,
@@ -14,7 +16,7 @@ from iterborda.borda import (
 )
 from iterborda.center import Query
 from iterborda.oracle import enumerate_extensions
-from iterborda.prefs import CandidateId, LinearOrder, PartialOrder
+from iterborda.prefs import CandidateId, LinearOrder, PartialOrder, close
 
 
 def unresolved(state):
@@ -77,3 +79,18 @@ def is_extension(p: LinearOrder, q: PartialOrder) -> bool:
 def linear_extensions(q: PartialOrder) -> list[LinearOrder]:
     """Every linear extension of ``q`` as a ranking, in lexicographic order."""
     return [LinearOrder(r) for r, _ in enumerate_extensions(q, LinearOrder(range(q.m)))]
+
+
+def joint_winner_set(qs: Sequence[PartialOrder]) -> set[CandidateId]:
+    """Winners over every joint completion (exact possible-winner set)."""
+    return {
+        borda_winner(list(combo))
+        for combo in itertools.product(*(linear_extensions(q) for q in qs))
+    }
+
+
+def random_relation(m: int, rng) -> PartialOrder:
+    """The closure of a random subset of the pairs of a random ranking."""
+    p = LinearOrder(rng.sample(range(m), m))
+    pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
+    return close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), m)

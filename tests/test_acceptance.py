@@ -79,9 +79,10 @@ def _all_small_closures(m: int, max_pairs: int):
 def _check_instance(p, q, pw, cj, ck, failures, safe_failures):
     fast = find_manipulation(p, q, pw, cj, ck)
     slow = oracle_manipulation(p, q, pw, cj, ck)
-    if fast.changed != slow.changed or fast.distance != slow.distance:
+    if fast != slow:
         failures.append((list(p.ranking), sorted(q.pairs()), sorted(pw), (cj, ck),
-                         (fast.changed, fast.distance), (slow.changed, slow.distance)))
+                         (fast.changed, fast.distance, list(fast.new_order.ranking)),
+                         (slow.changed, slow.distance, list(slow.new_order.ranking))))
     if cj in pw and ck in pw and fast.changed:
         safe_failures.append((list(p.ranking), sorted(q.pairs()), sorted(pw), (cj, ck)))
 

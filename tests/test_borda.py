@@ -1,6 +1,5 @@
 """Tests for Borda scoring, score bounds, pairwise extremes, PW/NW."""
 
-import itertools
 import random
 
 import numpy as np
@@ -16,9 +15,11 @@ from iterborda.borda import (
 from iterborda.prefs import LinearOrder, PartialOrder, close
 
 from center_helpers import (
+    joint_winner_set,
     linear_extensions,
     necessary_winner,
     possible_winners,
+    random_relation,
     unresolved_pairs,
 )
 
@@ -52,20 +53,6 @@ def max_pair_diff(q, c, c2):
 
 def min_pair_diff(q, c, c2):
     return -max_pair_diff(q, c2, c)
-
-
-def joint_winner_set(qs):
-    """Winners over every joint completion (exact possible-winner set)."""
-    winners = set()
-    for combo in itertools.product(*(linear_extensions(q) for q in qs)):
-        winners.add(borda_winner(list(combo)))
-    return winners
-
-
-def random_relation(m, rng):
-    p = LinearOrder(rng.sample(range(m), m))
-    pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
-    return close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), m)
 
 
 class TestBordaWinner:
@@ -292,10 +279,13 @@ class TestNecessaryWinner:
             assert necessary_winner(qs) == expected
 
     def test_member_of_possible_winners(self):
+        # the exact test names a winner exactly when one possible winner is left
         rng = random.Random(23)
+        lone = 0
         for _ in range(100):
-            m = rng.randint(2, 5)
+            m = rng.randint(2, 10)
             qs = [random_relation(m, rng) for _ in range(rng.randint(1, 3))]
-            nw = necessary_winner(qs)
-            if nw is not None:
-                assert nw in possible_winners(qs)
+            pw = possible_winners(qs)
+            assert necessary_winner(qs) == (next(iter(pw)) if len(pw) == 1 else None)
+            lone += len(pw) == 1
+        assert lone > 10

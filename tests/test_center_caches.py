@@ -228,8 +228,10 @@ def test_replay_m30_checks_caches_every_round():
             assert np.array_equal(state._mid_total, reference_mid_total(qs))
             assert state.pw_cache == frozenset(possible_winners(qs))
             assert np.array_equal(state._open, reference_open_mask(qs))
+            assert state.necessary_winner() == necessary_winner(qs)
         # the replay is the election run_election runs
         result = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
         assert result.trace == trace
+        assert state.pw_cache == {result.winner}
         manipulations += result.manipulated_count
     assert manipulations > 0

@@ -24,16 +24,15 @@ import random
 
 import numpy as np
 
-from iterborda.borda import borda_winner
 from iterborda.center import CenterState, Policy, TraceStep, run_election
 from iterborda.experiment import derive_seed
 from iterborda.manipulation import find_manipulation
 from iterborda.oracle import enumerate_extensions
 from iterborda.preflib import bundled, sample_profiles
-from iterborda.prefs import LinearOrder, close
+from iterborda.prefs import LinearOrder
 from iterborda.voter import MANIPULATIVE, VoterState
 
-from center_helpers import linear_extensions
+from center_helpers import joint_winner_set, random_relation
 
 TRACE_ELECTIONS = 8
 
@@ -97,25 +96,12 @@ def _exact_possible_winners(qs, memo):
     return {c for c in range(qs[0].m) if _can_win(rank_sets, c)}
 
 
-def _joint_winner_set(qs):
-    return {
-        borda_winner(list(combo))
-        for combo in itertools.product(*(linear_extensions(q) for q in qs))
-    }
-
-
-def _random_relation(m, rng):
-    p = LinearOrder(rng.sample(range(m), m))
-    pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
-    return close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), m)
-
-
 def test_oracle_matches_joint_enumeration():
     rng = random.Random(derive_seed("exact-pw-joint"))
     for i in range(360):
         m, n = (5, 2) if i % 6 == 0 else (rng.randint(2, 4), rng.randint(1, 3))
-        qs = [_random_relation(m, rng) for _ in range(n)]
-        assert _exact_possible_winners(qs, {}) == _joint_winner_set(qs), qs
+        qs = [random_relation(m, rng) for _ in range(n)]
+        assert _exact_possible_winners(qs, {}) == joint_winner_set(qs), qs
 
 
 def test_trace_superset_and_manipulations_against_exact_set():

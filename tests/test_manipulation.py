@@ -284,9 +284,7 @@ class TestFindManipulation:
             m = rng.randint(3, 5)
             p, q, pw, cj, ck = random_instance(m, rng)
             fast = find_manipulation(p, q, pw, cj, ck)
-            slow = oracle_manipulation(p, q, pw, cj, ck)
-            assert fast.changed == slow.changed
-            assert fast.distance == slow.distance
+            assert fast == oracle_manipulation(p, q, pw, cj, ck)
 
     def test_matches_reference_search(self):
         rng = random.Random(47)

@@ -28,7 +28,7 @@ from iterborda.prefs import (
     swap_distance,
 )
 
-from center_helpers import is_extension, linear_extensions, unresolved_pairs
+from center_helpers import is_extension, linear_extensions, random_relation, unresolved_pairs
 
 
 def _permutations_with_ranks(m):
@@ -82,7 +82,7 @@ class TestEnumerateExtensions:
         rng = random.Random(41)
         for _ in range(50):
             m = rng.randint(2, 5)
-            q, _ = _random_relation_with_order(m, rng)
+            q = random_relation(m, rng)
             exts = linear_extensions(q)
             assert len(set(exts)) == len(exts)
             assert all(is_extension(e, q) for e in exts)
@@ -91,8 +91,8 @@ class TestEnumerateExtensions:
         rng = random.Random(37)
         cases = [q for m in range(1, 5) for q in _all_closed_relations(m)]
         assert len(cases) == 1 + 3 + 19 + 219  # labelled posets on 1..4 points
-        cases += [_random_relation_with_order(rng.randint(5, 6), rng)[0] for _ in range(200)]
-        cases += [_random_relation_with_order(7, rng)[0] for _ in range(20)]
+        cases += [random_relation(rng.randint(5, 6), rng) for _ in range(200)]
+        cases += [random_relation(7, rng) for _ in range(20)]
         perms = {m: _permutations_with_ranks(m) for m in range(1, 8)}
         for q in cases:
             p = LinearOrder(rng.sample(range(q.m), q.m))
@@ -103,28 +103,27 @@ class TestEnumerateExtensions:
             enumerate_extensions(PartialOrder(9), LinearOrder(range(9)))
 
 
-def _random_relation_with_order(m, rng):
-    p = LinearOrder(rng.sample(range(m), m))
-    pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
-    q = close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), m)
-    return q, p
-
-
 class TestPlacementSteps:
     def test_forced_pair_matches_added_preference(self):
-        # folding "ck over cj" into the packed masks gives the steps of the
-        # numpy add_preference path, for open and already-committed pairs
+        # folding "ck over cj" into the masks as one bit keeps the walk's
+        # output: the extensions of q that rank ck over cj, which are those of
+        # add_preference(q, ck, cj), at minimal distance, for open and
+        # already-committed pairs.  Each relation is enumerated once and
+        # filtered per pair, which keeps the m = 8 relations cheap.
         rng = random.Random(67)
         relations = [q for m in range(2, 5) for q in _all_closed_relations(m)]
         relations += [random_instance(m, rng)[1] for m in range(5, 9) for _ in range(50)]
         checked = 0
         for q in relations:
             p = LinearOrder(rng.sample(range(q.m), q.m))
+            exts = [(r, LinearOrder(r).rank_of, d) for r, d in enumerate_extensions(q, p)]
             for ck, cj in itertools.permutations(range(q.m), 2):
                 if q.holds(cj, ck):
                     continue
-                expected = _placement_steps(add_preference(q, ck, cj), p)
-                assert _placement_steps(q, p, (ck, cj)) == expected, (q, ck, cj)
+                forced = [(r, d) for r, rank, d in exts if rank[ck] < rank[cj]]
+                best = min(d for _, d in forced)
+                expected = [LinearOrder(r) for r, d in forced if d == best]
+                assert closest_extensions(p, q, ck, cj) == expected, (q, ck, cj)
                 checked += 1
         assert checked > 5000
 
@@ -217,8 +216,8 @@ class TestOracleManipulation:
                 search(*args)
 
     def test_matches_permutation_reference(self):
-        # the first locally dominant ranking, in lexicographic order, among the
-        # consistent rewrites at minimal swap distance
+        # of the locally dominant consistent rewrites at minimal swap distance,
+        # the one that ranks cj lowest
         rng = random.Random(61)
         perms = {m: _permutations_with_ranks(m) for m in range(2, 8)}
         for i in range(2050):
@@ -227,13 +226,15 @@ class TestOracleManipulation:
             rewrites = _reference_extensions(add_preference(q, ck, cj), p, perms[m])
             best = min(d for _, d in rewrites)
             pw_ordered = sorted(pw, key=p.rank_of.__getitem__)
-            expected = next(
-                (
-                    ManipulationOutcome(True, LinearOrder(r), d)
-                    for r, d in rewrites
-                    if d == best and is_locally_dominant(LinearOrder(r), p, pw_ordered)
-                ),
-                ManipulationOutcome(False, p, 0),
+            dominant = [
+                LinearOrder(r)
+                for r, d in rewrites
+                if d == best and is_locally_dominant(LinearOrder(r), p, pw_ordered)
+            ]
+            expected = (
+                ManipulationOutcome(True, max(dominant, key=lambda r: r.rank_of[cj]), best)
+                if dominant
+                else ManipulationOutcome(False, p, 0)
             )
             assert oracle_manipulation(p, q, pw, cj, ck) == expected, (p, q, pw, cj, ck)
 

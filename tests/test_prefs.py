@@ -133,8 +133,9 @@ class TestClose:
         assert outcomes == {False, True}
 
     def test_random_instances_pinned(self):
-        """``random_instance`` builds its relations with ``close``: 2 000 draws
-        at m = 2-8 and the generator's final state are pinned."""
+        """``random_instance`` closes its sampled pairs with ``_closed_rows``
+        and builds each relation with ``_order_from_rows``: 2 000 draws at
+        m = 2-8 and the generator's final state are pinned."""
         rng = random.Random(2024)
         digest = hashlib.sha256()
         for i in range(2000):
