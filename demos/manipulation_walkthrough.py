@@ -35,8 +35,9 @@ print("new ranking      :", list(outcome.new_order.ranking))
 print("swap distance    :", outcome.distance)
 print()
 
-# why this rewrite qualifies: the possible winners keep their relative order
-# and the span between them strictly widens (candidate 0 got buried inside)
+# why this rewrite qualifies: the possible winners keep their relative order,
+# no gap between consecutive ones shrinks and one grows, so the span between
+# them widens (candidate 0 got buried inside)
 pw_ordered = order_pw(truthful, possible_winners)
 print("pw order before  :", order_pw(truthful, possible_winners))
 print("pw order after   :", order_pw(outcome.new_order, possible_winners))

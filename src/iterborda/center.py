@@ -33,7 +33,7 @@ from .borda import (
     possible_winners_from_total,
     score_bounds_vectors,
 )
-from .manipulation import order_pw, segment_total
+from .manipulation import is_locally_dominant, order_pw
 from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference
 from .voter import BEHAVIORS, TRUTHFUL, VoterState
 
@@ -47,7 +47,7 @@ class NoQueriesLeftError(RuntimeError):
 
 
 class TraceInvariantError(AssertionError):
-    """A manipulation reordered the possible winners or did not widen their span."""
+    """A manipulation was not locally dominant against the possible winners it saw."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,10 @@ class ElectionResult:
     """Outcome and full trace of a single election run.
 
     ``trace`` holds one step per query issued.  ``fork`` is set on a
-    manipulative run that manipulated at least once: the center's state and
-    the RNG state at the first manipulated step, after its query was drawn and
-    before its answer was applied.  Up to there the truthful run on the same
-    seed is identical, so it can resume from the fork and that step's query.
+    manipulative run that manipulated at least once: the center's state, the
+    RNG state and the index k of the first manipulated step, after its query
+    was drawn and before its answer was applied.  Up to there the truthful run
+    on the same seed is identical, so it can resume from the fork at step k.
     """
 
     winner: CandidateId
@@ -110,7 +110,7 @@ class ElectionResult:
     max_queries: int
     manipulated_count: int
     trace: list[TraceStep] = field(repr=False)
-    fork: tuple[CenterState, tuple] | None = field(
+    fork: tuple[CenterState, tuple, int] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -147,7 +147,8 @@ class CenterState:
     def __init__(self, n: int, m: int):
         if n < 1 or m < 2:
             raise ValueError("need at least one voter and two candidates")
-        self.qs: list[PartialOrder] = [PartialOrder(m) for _ in range(n)]
+        empty = PartialOrder(m)
+        self.qs: list[PartialOrder] = [empty] * n
         self._first, self._second, self._es_pools = _pair_layout(m)
         # flat position of each pair (a < b) in an m x m matrix
         self._upper = self._first * m + self._second
@@ -155,12 +156,14 @@ class CenterState:
         # order are the open queries in draw order
         self._open = np.ones((len(self._first), n), dtype=bool)
         # per voter: sigma_min + sigma_max per candidate, and the pair-diff
-        # matrix; the summed midpoints rank candidates for the ES heuristic
-        bounds = [score_bounds_vectors(q) for q in self.qs]
-        self._mids = [lo + hi for lo, hi in bounds]
-        self._mid_total = np.sum(self._mids, axis=0)
-        self._diffs = [pair_diff_matrix(q, b) for q, b in zip(self.qs, bounds)]
-        self._total = np.sum(self._diffs, axis=0)
+        # matrix; the summed midpoints rank candidates for the ES heuristic.
+        # Voters share the empty relation and its caches, as entries are
+        # replaced, never changed in place.
+        bounds = score_bounds_vectors(empty)
+        mids = bounds[0] + bounds[1]
+        diff = pair_diff_matrix(empty, bounds)
+        self._mids, self._mid_total = [mids] * n, n * mids
+        self._diffs, self._total = [diff] * n, n * diff
         self._pw_key = None
         self._set_pw(possible_winners_from_total(self._total))
 
@@ -275,11 +278,11 @@ def run_election(
 
     Loops compute-possible-winners / select-query / voter-responds /
     incorporate-answer until a necessary winner exists, which is guaranteed
-    within n*m*(m-1)/2 queries.  It raises :class:`TraceInvariantError` when a
-    manipulation reorders the possible winners against the voter's earlier
-    ranking or fails to strictly widen their span.  As the set only shrinks,
-    the first check keeps every current ranking ordering the possible winners
-    as the true one does; acceptance criterion 8 checks that per round.
+    within n*m*(m-1)/2 queries.  It raises :class:`TraceInvariantError` unless
+    each manipulation is locally dominant over the voter's earlier ranking on
+    the possible winners she saw, the rule she searched by.  That keeps their
+    order, and the set only shrinks, so every current ranking orders them as
+    the true one does; acceptance criterion 8 checks that per round.
 
     ``twin`` is the manipulative run on the same profiles, policy and seed;
     only a truthful run accepts it.  The two runs agree up to the twin's
@@ -307,10 +310,9 @@ def run_election(
     elif twin.fork is None:
         return replace(twin, trace=list(twin.trace))
     else:
-        fork_state, rng_state = twin.fork
+        fork_state, rng_state, k = twin.fork
         state = fork_state.copy()
         rng.setstate(rng_state)
-        k = next(i for i, step in enumerate(twin.trace) if step.manipulated)
         pending = twin.trace[k].query
         trace = twin.trace[:k]
     fork = None
@@ -330,14 +332,10 @@ def run_election(
         answer, manipulated = vs.respond(
             query.cj, query.ck, state.qs[query.voter], pw, behavior
         )
-        if manipulated:
-            pw_seen = order_pw(before, pw)
-            if order_pw(vs.p_current, pw) != pw_seen:
-                raise TraceInvariantError("manipulation reordered the possible winners")
-            if segment_total(vs.p_current, pw_seen) <= segment_total(before, pw_seen):
-                raise TraceInvariantError("manipulation did not widen the possible-winner span")
+        if manipulated and not is_locally_dominant(vs.p_current, before, order_pw(before, pw)):
+            raise TraceInvariantError("manipulation is not locally dominant")
         if manipulated and fork is None:
-            fork = (state.copy(), rng.getstate())
+            fork = (state.copy(), rng.getstate(), len(trace))
         state.apply_response(query, answer)
         trace.append(TraceStep(query, answer, manipulated, pw))
 

@@ -298,9 +298,9 @@ def test_criterion_7_query_count_direction(sweep_records):
 
 
 def test_criterion_8_trace_invariants(sweep_records):
-    # Part 1: every manipulative run of the sweep already executed with the
-    # runtime invariant checks armed (run_election default); reaching this
-    # point with a full record set means none of them tripped.
+    # Part 1: run_election audits every manipulation of the sweep for local
+    # dominance; reaching this point with a full record set means none of
+    # them tripped.
     expected = (
         len(SWEEP_VOTER_COUNTS) * SWEEP_PROFILE_SETS * SWEEP_REPS * len(ALL_POLICIES) * 2
     )

@@ -17,7 +17,7 @@ from iterborda.center import (
     is_safe,
     run_election,
 )
-from iterborda.manipulation import ManipulationOutcome
+from iterborda.manipulation import ManipulationOutcome, order_pw, segment_total
 from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
@@ -248,23 +248,48 @@ class TestRunElection:
                         assert not step.manipulated
 
     @pytest.mark.parametrize(
-        "rewrite, message",
+        "rewrite",
         [
             # reversing the ranking answers ck over cj and reverses the
             # possible winners, all m of them at the first query
-            (lambda p: LinearOrder(reversed(p.ranking)), "reordered"),
+            lambda p: LinearOrder(reversed(p.ranking)),
             # keeping the ranking widens no gap
-            (lambda p: p, "did not widen"),
+            lambda p: p,
         ],
         ids=["reordered", "not-widened"],
     )
-    def test_invalid_rewrite_raises(self, monkeypatch, rewrite, message):
+    def test_invalid_rewrite_raises(self, monkeypatch, rewrite):
         def bad_search(p, q, pw, cj, ck):
             return ManipulationOutcome(True, rewrite(p), 1)
 
         monkeypatch.setattr("iterborda.voter.find_manipulation", bad_search)
         profiles = random_profiles(4, 3, random.Random(37))
-        with pytest.raises(TraceInvariantError, match=message):
+        with pytest.raises(TraceInvariantError, match="not locally dominant"):
+            run_election(profiles, MANIPULATIVE, Policy(RANDOM), random.Random(0))
+
+    def test_gap_shrinking_rewrite_raises(self, monkeypatch):
+        """A rewrite that keeps the possible winners' order and widens their
+        total span, yet shrinks one gap between them, is not locally dominant."""
+
+        def bad_search(p, q, pw, cj, ck):
+            pw_ordered = order_pw(p, pw)
+            if 3 <= len(pw_ordered) < p.m:
+                rank = p.rank_of
+                first_gap = p.ranking[rank[pw_ordered[0]] + 1 : rank[pw_ordered[1]]]
+                below = p.ranking[rank[pw_ordered[-1]] + 1 :]
+                if first_gap and below:
+                    # the first gap loses x, the second gains x and y
+                    x, y = first_gap[0], below[0]
+                    rest = [c for c in p.ranking if c not in (x, y)]
+                    at = rest.index(pw_ordered[1]) + 1
+                    new_order = LinearOrder(rest[:at] + [x, y] + rest[at:])
+                    assert segment_total(new_order, pw_ordered) == segment_total(p, pw_ordered) + 1
+                    return ManipulationOutcome(True, new_order, 3)
+            return ManipulationOutcome(False, p, 0)
+
+        monkeypatch.setattr("iterborda.voter.find_manipulation", bad_search)
+        profiles = random_profiles(7, 4, random.Random(37))
+        with pytest.raises(TraceInvariantError, match="not locally dominant"):
             run_election(profiles, MANIPULATIVE, Policy(RANDOM), random.Random(0))
 
     @pytest.mark.parametrize("behavior", [TRUTHFUL, MANIPULATIVE])

@@ -152,6 +152,16 @@ class CenterCaches(RuleBasedStateMachine):
         assert np.array_equal(self.state._mid_total, reference_mid_total(self.state.qs))
 
     @invariant()
+    def per_voter_caches_match_recomputation(self):
+        # voters start out sharing one midpoint vector and one pair-diff
+        # matrix, so a write into one voter's entry in place shows up here
+        state = self.state
+        for q, mids, diff in zip(state.qs, state._mids, state._diffs):
+            bounds = borda.score_bounds_vectors(q)
+            assert np.array_equal(mids, bounds[0] + bounds[1])
+            assert np.array_equal(diff, borda.pair_diff_matrix(q, bounds))
+
+    @invariant()
     def selection_matches_list_walk(self):
         for policy in ALL_POLICIES:
             rng = random.Random(self.rng.random())

@@ -38,18 +38,27 @@ TRACE_ELECTIONS = 8
 
 
 def _pareto(vecs):
-    """The distinct rows of ``vecs`` that no other row weakly exceeds everywhere."""
-    vecs = np.unique(vecs, axis=0)
-    # only a row with a larger sum can cover another, so scan by falling sum
-    vecs = vecs[np.argsort(-vecs.sum(axis=1), kind="stable")]
-    front = vecs[:0]
-    for start in range(0, len(vecs), 256):
-        block = vecs[start:start + 256]
-        block = block[~np.all(front[None] >= block[:, None], axis=2).any(axis=1)]
-        inner = np.all(block[None] >= block[:, None], axis=2)
-        np.fill_diagonal(inner, False)
-        front = np.concatenate([front, block[~inner.any(axis=1)]])
-    return front
+    """The distinct rows of ``vecs`` that no other row weakly exceeds everywhere.
+
+    They come out by falling sum, ties in lexicographic order.  Each column,
+    shifted to start at 0, indexes bitsets of the rows that hold at least that
+    value there; ANDing a row's bitsets over the columns gives the rows that
+    weakly exceed it, and a frontier row finds only itself.
+    """
+    shifted = vecs - vecs.min(axis=0)
+    span = shifted.max(axis=0) + 1
+    # mixed-radix row keys, first column most significant, sort lexicographically
+    radix = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+    _, first = np.unique(shifted @ radix, return_index=True)
+    order = first[np.argsort(-vecs[first].sum(axis=1), kind="stable")]
+    vecs, shifted = vecs[order], shifted[order]
+    covers = None
+    for col, size in zip(shifted.T, span):
+        at_least = np.packbits(col >= np.arange(size)[:, None], axis=1, bitorder="little")
+        covers = at_least[col] if covers is None else covers & at_least[col]
+    rows = np.arange(len(vecs))
+    covers[rows, rows >> 3] &= ~(np.uint8(1) << (rows & 7).astype(np.uint8))
+    return vecs[~covers.any(axis=1)]
 
 
 def _can_win(rank_sets, c):
