@@ -16,7 +16,6 @@ from iterborda import (
     is_locally_dominant,
     oracle_manipulation,
     order_pw,
-    segment_total,
     swap_distance,
 )
 
@@ -36,13 +35,20 @@ print("swap distance    :", outcome.distance)
 print()
 
 # why this rewrite qualifies: the possible winners keep their relative order,
-# no gap between consecutive ones shrinks and one grows, so the span between
-# them widens (candidate 0 got buried inside)
+# and between consecutive ones no gap shrinks and one grows (candidate 0 got
+# buried between 1 and 2)
 pw_ordered = order_pw(truthful, possible_winners)
-print("pw order before  :", order_pw(truthful, possible_winners))
+
+
+def gaps(order):
+    """Rank distances between consecutive possible winners in ``order``."""
+    rank = order.rank_of
+    return [rank[b] - rank[a] for a, b in zip(pw_ordered, pw_ordered[1:])]
+
+
+print("pw order before  :", pw_ordered)
 print("pw order after   :", order_pw(outcome.new_order, possible_winners))
-print("span before/after:", segment_total(truthful, pw_ordered),
-      "->", segment_total(outcome.new_order, pw_ordered))
+print("gaps before/after:", gaps(truthful), "->", gaps(outcome.new_order))
 print("locally dominant :", is_locally_dominant(outcome.new_order, truthful, pw_ordered))
 print()
 

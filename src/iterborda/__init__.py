@@ -10,7 +10,7 @@ preferring queries that are provably immune to such rewrites.
 """
 
 from .center import Policy, is_safe, run_election
-from .manipulation import find_manipulation, is_locally_dominant, order_pw, segment_total
+from .manipulation import find_manipulation, is_locally_dominant, order_pw
 from .oracle import oracle_manipulation
 from .preflib import bundled, bundled_path, sample_profiles
 from .prefs import LinearOrder, PartialOrder, swap_distance
@@ -28,7 +28,6 @@ __all__ = [
     "order_pw",
     "run_election",
     "sample_profiles",
-    "segment_total",
     "swap_distance",
 ]
 __version__ = "0.1.0"

@@ -54,14 +54,6 @@ def order_pw(p: LinearOrder, pw: Iterable[CandidateId]) -> tuple[CandidateId, ..
     return tuple(c for c in p.ranking if c in pw)
 
 
-def segment_total(p: LinearOrder, pw_ordered: Sequence[CandidateId]) -> int:
-    """Sum of inclusive gap sizes between consecutive possible winners in ``p``."""
-    total = 0
-    for a, b in zip(pw_ordered, pw_ordered[1:]):
-        total += p.rank_of[b] - p.rank_of[a] + 1
-    return total
-
-
 def is_locally_dominant(
     p2: LinearOrder, p: LinearOrder, pw_ordered: Sequence[CandidateId]
 ) -> bool:

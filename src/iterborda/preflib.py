@@ -105,8 +105,7 @@ def bundled(name: str) -> Dataset:
 
     Available: ``sample10`` (10 candidates) and ``sample7`` (7 candidates).
     """
-    text = resources.files("iterborda").joinpath("data", f"{name}.soc").read_text("utf-8")
-    return parse_soc(text, name=name)
+    return load_soc(bundled_path(name))
 
 
 def bundled_path(name: str) -> Path:

@@ -17,7 +17,7 @@ from iterborda.center import (
     is_safe,
     run_election,
 )
-from iterborda.manipulation import ManipulationOutcome, order_pw, segment_total
+from iterborda.manipulation import ManipulationOutcome, order_pw
 from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
@@ -283,7 +283,12 @@ class TestRunElection:
                     rest = [c for c in p.ranking if c not in (x, y)]
                     at = rest.index(pw_ordered[1]) + 1
                     new_order = LinearOrder(rest[:at] + [x, y] + rest[at:])
-                    assert segment_total(new_order, pw_ordered) == segment_total(p, pw_ordered) + 1
+                    # the span from the first to the last possible winner
+                    # still widens by one, so a rule that reads only the
+                    # span would accept this rewrite
+                    new_rank = new_order.rank_of
+                    first, last = pw_ordered[0], pw_ordered[-1]
+                    assert new_rank[last] - new_rank[first] == rank[last] - rank[first] + 1
                     return ManipulationOutcome(True, new_order, 3)
             return ManipulationOutcome(False, p, 0)
 

@@ -4,6 +4,9 @@ Each demo runs in a fresh interpreter from an empty working directory, with
 the package source on ``PYTHONPATH``.  ``make_sample_data.py`` is left out:
 it rewrites the bundled data files.  Instead its sample table is replayed in
 memory and compared with the bundled files.
+
+A package module may import a name it never uses only so that the
+benchmark's tracer (``perfbench/tracer.py``) can patch it there.
 """
 
 import ast
@@ -34,7 +37,38 @@ def test_exports_are_what_the_demos_import():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(iterborda.__all__) == imported
-    assert len(imported) == 14
+    assert len(imported) == 13
+
+
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_unused_imports_are_tracer_targets():
+    unused = set()
+    for path in (ROOT / "src" / "iterborda").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((path.stem, name) for name in bound - used)
+    tracer = load_module(ROOT / "perfbench" / "tracer.py")
+    targets = {
+        (owner.__name__.rpartition(".")[2], attr)
+        for owner, attr, _ in tracer.layer_targets()
+        if inspect.ismodule(owner)
+    }
+    assert unused <= targets, sorted(unused - targets)
 
 
 @pytest.mark.parametrize(
@@ -52,15 +86,7 @@ def test_demo_runs(tmp_path, demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def load_make_sample_data():
-    path = ROOT / "demos" / "make_sample_data.py"
-    spec = importlib.util.spec_from_file_location("make_sample_data", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-MAKE_SAMPLE_DATA = load_make_sample_data()
+MAKE_SAMPLE_DATA = load_module(ROOT / "demos" / "make_sample_data.py")
 
 
 @pytest.mark.parametrize("row", MAKE_SAMPLE_DATA.SAMPLES, ids=lambda row: row[0])

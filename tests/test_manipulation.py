@@ -13,7 +13,6 @@ from iterborda.manipulation import (
     is_locally_dominant,
     order_pw,
     precheck,
-    segment_total,
 )
 from iterborda.oracle import oracle_manipulation, random_instance
 from iterborda.prefs import (
@@ -157,15 +156,6 @@ class TestIsLocallyDominant:
         assert not is_locally_dominant(LinearOrder([1, 0, 2]), TOY_P, (2,))
 
 
-class TestSegmentTotal:
-    def test_sums_inclusive_gaps(self):
-        p = LinearOrder([0, 1, 2, 3])
-        assert segment_total(p, (0, 2, 3)) == 3 + 2
-
-    def test_singleton_is_zero(self):
-        assert segment_total(TOY_P, (1,)) == 0
-
-
 class TestPrecheck:
     def test_query_above_and_into_span(self):
         assert precheck(TOY_P, order_pw(TOY_P, TOY_PW), 0, 1)
@@ -274,7 +264,6 @@ class TestFindManipulation:
             assert is_locally_dominant(out.new_order, p, pw_ordered)
             # possible winners keep the voter's original relative order
             assert order_pw(out.new_order, pw) == pw_ordered
-            assert segment_total(out.new_order, pw_ordered) > segment_total(p, pw_ordered)
             assert precheck(p, pw_ordered, cj, ck)
         assert changed_seen > 20  # the sweep must actually exercise rewrites
 
