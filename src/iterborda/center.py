@@ -4,8 +4,8 @@ The center knows nothing about the voters beyond their answers.  It keeps one
 transitively closed relation per voter and recomputes the possible-winner set
 after every answer.  The election loop stops as soon as one possible winner is
 left, which for the published relaxation is exactly when a necessary winner
-exists, and keeps the record of the run: one trace step per query, with
-whether the voter's answer was a manipulation, which the center never sees.
+exists, and keeps the record of the run: one trace step per query, with the
+ranking a manipulating voter adopted, which the center never sees.
 
 A round makes one pass over the answering voter's new relation: her open
 pairs overwrite her column of the pair-by-voter open mask, and her score
@@ -90,29 +90,41 @@ class TraceStep:
 
     query: Query
     response: tuple[CandidateId, CandidateId]
-    manipulated: bool
+    # the ranking the voter switched to for this answer, or None if she kept hers
+    adopted: LinearOrder | None
     pw: frozenset[CandidateId]
+
+    @property
+    def manipulated(self) -> bool:
+        return self.adopted is not None
 
 
 @dataclass
 class ElectionResult:
     """Outcome and full trace of a single election run.
 
-    ``trace`` holds one step per query issued.  ``fork`` is set on a
-    manipulative run that manipulated at least once: the center's state, the
-    RNG state and the index k of the first manipulated step, after its query
-    was drawn and before its answer was applied.  Up to there the truthful run
-    on the same seed is identical, so it can resume from the fork at step k.
+    ``trace`` holds one step per query issued; the counts are read off it.
+    ``fork`` is set on a manipulative run that manipulated at least once: the
+    center's state, the RNG state and the index k of the first manipulated
+    step, after its query was drawn and before its answer was applied.  Up to
+    there the truthful run on the same seed is identical, so it can resume
+    from the fork at step k.
     """
 
     winner: CandidateId
-    queries_issued: int
     max_queries: int
-    manipulated_count: int
     trace: list[TraceStep] = field(repr=False)
     fork: tuple[CenterState, tuple, int] | None = field(
         default=None, repr=False, compare=False
     )
+
+    @property
+    def queries_issued(self) -> int:
+        return len(self.trace)
+
+    @property
+    def manipulated_count(self) -> int:
+        return sum(step.manipulated for step in self.trace)
 
 
 def is_safe(query: Query, pw: frozenset[CandidateId] | set[CandidateId]) -> bool:
@@ -337,13 +349,6 @@ def run_election(
         if manipulated and fork is None:
             fork = (state.copy(), rng.getstate(), len(trace))
         state.apply_response(query, answer)
-        trace.append(TraceStep(query, answer, manipulated, pw))
+        trace.append(TraceStep(query, answer, vs.p_current if manipulated else None, pw))
 
-    return ElectionResult(
-        winner=winner,
-        queries_issued=len(trace),
-        max_queries=max_queries,
-        manipulated_count=sum(step.manipulated for step in trace),
-        trace=trace,
-        fork=fork,
-    )
+    return ElectionResult(winner, max_queries, trace, fork)

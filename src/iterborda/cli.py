@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
         a, b = step.response
         tags = []
         if step.manipulated:
-            tags.append("manipulated")
+            tags.append(f"manipulated, adopted {' > '.join(map(str, step.adopted.ranking))}")
         if is_safe(step.query, step.pw):
             tags.append("safe")
         suffix = f"  [{', '.join(tags)}]" if tags else ""

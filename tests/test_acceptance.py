@@ -29,13 +29,13 @@ import numpy as np
 import pytest
 
 from iterborda.borda import borda_winner, pair_diff_matrix, score_bounds_vectors
-from iterborda.center import CenterState, Policy, run_election
+from iterborda.center import POLICIES, Policy, run_election
 from iterborda.experiment import ExperimentConfig, derive_seed, run_experiment
 from iterborda.manipulation import find_manipulation, is_locally_dominant, order_pw
 from iterborda.oracle import oracle_manipulation, random_instance
 from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import InconsistencyError, LinearOrder, close
-from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
+from iterborda.voter import MANIPULATIVE, TRUTHFUL
 
 from center_helpers import is_extension, linear_extensions, unresolved_pairs
 
@@ -46,7 +46,6 @@ TRUTHFUL_ELECTIONS = 1_000  # criterion 2
 SWEEP_VOTER_COUNTS = list(range(4, 21))
 SWEEP_PROFILE_SETS = 5
 SWEEP_REPS = 10
-ALL_POLICIES = [Policy("es"), Policy("es", True), Policy("random"), Policy("random", True)]
 
 
 def _report(criterion: int, ok: bool, detail: str) -> bool:
@@ -159,7 +158,7 @@ def test_criterion_2_truthful_correctness():
         n = rng.randint(1, 10)
         profiles = [LinearOrder(rng.sample(range(m), m)) for _ in range(n)]
         expected = borda_winner(profiles)
-        for policy in ALL_POLICIES:
+        for policy in POLICIES:
             result = run_election(
                 profiles, TRUTHFUL, policy, random.Random(rng.getrandbits(64))
             )
@@ -205,7 +204,7 @@ def sweep_records():
     cfg = ExperimentConfig(
         dataset="unused",
         voter_counts=SWEEP_VOTER_COUNTS,
-        policies=ALL_POLICIES,
+        policies=POLICIES,
         behaviors=[TRUTHFUL, MANIPULATIVE],
         profile_sets=SWEEP_PROFILE_SETS,
         reps_per_set=SWEEP_REPS,
@@ -298,15 +297,15 @@ def test_criterion_8_trace_invariants(sweep_records):
     # dominance; reaching this point with a full record set means none of
     # them tripped.
     expected = (
-        len(SWEEP_VOTER_COUNTS) * SWEEP_PROFILE_SETS * SWEEP_REPS * len(ALL_POLICIES) * 2
+        len(SWEEP_VOTER_COUNTS) * SWEEP_PROFILE_SETS * SWEEP_REPS * len(POLICIES) * 2
     )
     assert len(sweep_records) == expected
 
-    # Part 2: independent replay of a subsample, checking all voters at all
-    # rounds: the current ranking orders the live possible-winner set exactly
-    # as the true ranking does, each manipulation locally dominates the
-    # queried voter's ranking before it, and any other answer keeps that
-    # ranking.
+    # Part 2: an independent check of a subsample's recorded traces, for all
+    # voters at all rounds: each manipulation's adopted ranking locally
+    # dominates the queried voter's ranking before it, every other answer
+    # agrees with her ranking, and each ranking orders the live
+    # possible-winner set exactly as the true ranking does.
     ds = bundled("sample10")
     violations = 0
     rounds_checked = 0
@@ -314,29 +313,25 @@ def test_criterion_8_trace_invariants(sweep_records):
     for trial in range(12):
         rng = random.Random(derive_seed("acceptance-replay", trial))
         profiles = sample_profiles(ds, 4 + trial, rng)
-        voters = [VoterState(p) for p in profiles]
-        state = CenterState(len(profiles), ds.m)
         policy = Policy("random" if trial % 2 else "es", careful=trial % 3 == 0)
-        while state.necessary_winner() is None:
-            pw = state.pw_cache
-            query = state.select_query(policy, rng)
-            vs = voters[query.voter]
-            before = vs.p_current
-            answer, manipulated = vs.respond(
-                query.cj, query.ck, state.qs[query.voter], pw, MANIPULATIVE
-            )
-            manipulations_seen += manipulated
-            if manipulated:
-                if not is_locally_dominant(vs.p_current, before, order_pw(before, pw)):
+        result = run_election(profiles, MANIPULATIVE, policy, rng)
+        rankings = list(profiles)
+        # the live set after a round is the next round's, and after the last
+        # one the winner alone
+        live_after = [step.pw for step in result.trace[1:]] + [frozenset({result.winner})]
+        for step, live in zip(result.trace, live_after):
+            v = step.query.voter
+            before = rankings[v]
+            if step.manipulated:
+                manipulations_seen += 1
+                if not is_locally_dominant(step.adopted, before, order_pw(before, step.pw)):
                     violations += 1
-            elif vs.p_current is not before:
+                rankings[v] = step.adopted
+            elif not before.prefers(*step.response):
                 violations += 1
-            state.apply_response(query, answer)
-            for voter in voters:
+            for current, true in zip(rankings, profiles):
                 rounds_checked += 1
-                if order_pw(voter.p_current, state.pw_cache) != order_pw(
-                    voter.p_true, state.pw_cache
-                ):
+                if order_pw(current, live) != order_pw(true, live):
                     violations += 1
     assert manipulations_seen > 0
     ok = _report(

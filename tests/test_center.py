@@ -8,6 +8,7 @@ import pytest
 from iterborda.borda import borda_winner
 from iterborda.center import (
     ES,
+    POLICIES,
     RANDOM,
     CenterState,
     NoQueriesLeftError,
@@ -22,8 +23,6 @@ from iterborda.prefs import InconsistencyError, LinearOrder, close
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
 from center_helpers import possible_winners, unresolved
-
-ALL_POLICIES = [Policy(sel, careful) for sel in (ES, RANDOM) for careful in (False, True)]
 
 
 def random_profiles(m, n, rng):
@@ -118,7 +117,7 @@ class TestCenterState:
 
 class TestPolicy:
     def test_parse_inverts_name(self):
-        for policy in ALL_POLICIES:
+        for policy in POLICIES:
             assert Policy.parse(policy.name) == policy
         assert Policy.parse("careful-es") == Policy(ES, careful=True)
 
@@ -150,7 +149,7 @@ class TestSelectQuery:
         assert len(remaining) <= 1
         if remaining:
             rng = random.Random(0)
-            for policy in ALL_POLICIES:
+            for policy in POLICIES:
                 assert state.select_query(policy, rng) == remaining[0]
 
     def test_es_fresh_state_targets_lowest_id(self):
@@ -192,8 +191,8 @@ class TestSelectQuery:
 
     def test_selection_is_deterministic_given_seed(self):
         state = CenterState(n=4, m=5)
-        picks1 = [state.select_query(p, random.Random(42)) for p in ALL_POLICIES]
-        picks2 = [state.select_query(p, random.Random(42)) for p in ALL_POLICIES]
+        picks1 = [state.select_query(p, random.Random(42)) for p in POLICIES]
+        picks2 = [state.select_query(p, random.Random(42)) for p in POLICIES]
         assert picks1 == picks2
 
 
@@ -209,7 +208,7 @@ class TestRunElection:
             m = rng.randint(2, 6)
             n = rng.randint(1, 8)
             profiles = random_profiles(m, n, rng)
-            for policy in ALL_POLICIES:
+            for policy in POLICIES:
                 res = run_election(profiles, TRUTHFUL, policy, random.Random(rng.random()))
                 assert res.winner == borda_winner(profiles)
                 assert res.manipulated_count == 0
@@ -230,7 +229,7 @@ class TestRunElection:
     def test_identical_seeds_identical_traces(self):
         rng = random.Random(29)
         profiles = random_profiles(5, 4, rng)
-        for policy in ALL_POLICIES:
+        for policy in POLICIES:
             a = run_election(profiles, MANIPULATIVE, policy, random.Random(99))
             b = run_election(profiles, MANIPULATIVE, policy, random.Random(99))
             assert a.trace == b.trace and a.winner == b.winner
@@ -239,7 +238,7 @@ class TestRunElection:
         rng = random.Random(31)
         for _ in range(15):
             profiles = random_profiles(5, 5, rng)
-            for policy in ALL_POLICIES:
+            for policy in POLICIES:
                 res = run_election(
                     profiles, MANIPULATIVE, policy, random.Random(rng.random())
                 )
@@ -303,32 +302,28 @@ class TestRunElection:
         manipulated_runs = 0
         for trial in range(12):
             profiles = random_profiles(4, 3, rng)
-            policy = ALL_POLICIES[trial % len(ALL_POLICIES)]
+            policy = POLICIES[trial % len(POLICIES)]
             result = run_election(profiles, behavior, policy, random.Random(trial))
             trace = result.trace
-            assert len(trace) == result.queries_issued
             assert trace[0].pw == frozenset(range(4))
             for step, later in zip(trace, trace[1:]):
                 assert later.pw <= step.pw
-            # each step's pw is the set computed from the answers before it
+            # each step's pw is the set computed from the answers before it;
+            # each answer agrees with the voter's ranking after its step, and a
+            # manipulated answer reverses her ranking before it
             answers = [[] for _ in profiles]
+            rankings = list(profiles)
             for step in trace:
+                q = step.query
                 qs = [close(pairs, 4) for pairs in answers]
                 assert step.pw == frozenset(possible_winners(qs))
-                answers[step.query.voter].append(step.response)
-            assert result.manipulated_count == sum(step.manipulated for step in trace)
-            # answers follow the true ranking up to the first manipulation,
-            # which inverts the pair it was asked
-            first = next((i for i, step in enumerate(trace) if step.manipulated), len(trace))
-            for i, step in enumerate(trace):
-                q = step.query
-                truthful = (q.cj, q.ck) if profiles[q.voter].prefers(q.cj, q.ck) else (q.ck, q.cj)
+                answers[q.voter].append(step.response)
                 assert sorted(step.response) == [q.cj, q.ck]
-                if i < first:
-                    assert step.response == truthful
-                elif i == first:
-                    assert step.response == truthful[::-1]
-            manipulated_runs += first < len(trace)
+                if step.manipulated:
+                    assert rankings[q.voter].prefers(*step.response[::-1])
+                    rankings[q.voter] = step.adopted
+                assert rankings[q.voter].prefers(*step.response)
+            manipulated_runs += any(step.manipulated for step in trace)
         if behavior == MANIPULATIVE:
             assert manipulated_runs
         else:
@@ -348,9 +343,12 @@ class TestRunElection:
         assert answer == (1, 0)
         assert vs.p_current == LinearOrder([1, 0, 2])
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(ValueError):
             run_election([], TRUTHFUL, Policy(RANDOM), random.Random(0))
+        for n, m in ((0, 3), (2, 1)):
+            with pytest.raises(ValueError, match="at least one voter and two candidates"):
+                CenterState(n, m)
         with pytest.raises(ValueError):
             run_election(
                 [LinearOrder([0, 1]), LinearOrder([0, 1, 2])],
@@ -362,6 +360,10 @@ class TestRunElection:
             run_election([LinearOrder([0, 1])], "sneaky", Policy(RANDOM), random.Random(0))
         with pytest.raises(ValueError):
             Policy("greedy")
+        # at m = 2 no answer resolves another pair, so the query bound is reached
+        monkeypatch.setattr(CenterState, "necessary_winner", lambda self: None)
+        with pytest.raises(AssertionError, match="failed to terminate"):
+            run_election([LinearOrder([0, 1])] * 3, TRUTHFUL, Policy(RANDOM), random.Random(0))
 
     def test_twin_only_for_truthful_runs(self):
         profiles = random_profiles(4, 3, random.Random(37))

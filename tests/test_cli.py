@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import re
 
 import pytest
 
 from iterborda.cli import main
+from iterborda.manipulation import ManipulationOutcome
 from iterborda.preflib import bundled_path
 
 
@@ -27,7 +29,14 @@ class TestRun:
             "--behavior", "manipulative", "--seed", "3",
         ])
         assert rc == 0
-        assert "policy=careful-random" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "policy=careful-random" in out and "(3 manipulated)" in out
+        # each manipulated round shows the adopted ranking, which orders the
+        # printed answer the same way
+        rounds = re.findall(r"-> (\d+) over (\d+);.*\[manipulated, adopted ([\d >]+)\]", out)
+        assert len(rounds) == 3
+        for a, b, adopted in rounds:
+            assert adopted.split(" > ").index(a) < adopted.split(" > ").index(b)
 
 
 class TestExperiment:
@@ -116,6 +125,17 @@ class TestOracleCheck:
 
     def test_smallest_candidate_count(self, capsys):
         assert main(["oracle-check", "--m", "2", "--instances", "20"]) == 0
+
+    def test_mismatch_exit_one(self, monkeypatch, capsys):
+        # a search that never manipulates disagrees with brute force on the
+        # first instance where a manipulation exists
+        monkeypatch.setattr(
+            "iterborda.cli.find_manipulation", lambda p, *_: ManipulationOutcome(False, p, 0)
+        )
+        assert main(["oracle-check", "--m", "5", "--instances", "200"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH at instance" in out
+        assert "  fast: changed=False distance=0" in out and "  oracle: changed=True" in out
 
 
 def assert_one_line_error(capsys, expected):

@@ -11,12 +11,12 @@ every rival with a lower id (which wins ties) and at least 0 against the rest.
 The sum is built voter by voter, keeping only its Pareto frontier, which stays
 small because gains beyond what a rival needs are capped.
 
-The trace cross-check replays manipulative elections on ``sample7`` and
-asserts, at every round where the superset excludes some candidate, that it
-contains the exact set and that every recorded manipulation is also found
-against the exact set.  Manipulation needs a candidate outside the published
-set (above or below the possible winners' span), so those are all the rounds
-that can carry one.
+The trace cross-check reads the recorded traces of manipulative elections on
+``sample7`` and asserts, at every round where the superset excludes some
+candidate, that it contains the exact set and that every recorded
+manipulation is also found against the exact set.  Manipulation needs a
+candidate outside the published set (above or below the possible winners'
+span), so those are all the rounds that can carry one.
 """
 
 import itertools
@@ -24,13 +24,13 @@ import random
 
 import numpy as np
 
-from iterborda.center import CenterState, Policy, TraceStep, run_election
+from iterborda.center import CenterState, Policy, run_election
 from iterborda.experiment import derive_seed
 from iterborda.manipulation import find_manipulation
 from iterborda.oracle import enumerate_extensions
 from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import LinearOrder
-from iterborda.voter import MANIPULATIVE, VoterState
+from iterborda.voter import MANIPULATIVE
 
 from center_helpers import joint_winner_set, random_relation
 
@@ -121,34 +121,28 @@ def test_trace_superset_and_manipulations_against_exact_set():
         profiles = sample_profiles(ds, 3 + trial % 3, rng)
         policy = Policy("random" if trial % 2 else "es", careful=trial % 4 >= 2)
         seed = rng.getrandbits(64)
-        query_rng = random.Random(seed)
-        voters = [VoterState(p) for p in profiles]
+        result = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
+        # the recorded answers rebuild each round's relations and rankings
         state = CenterState(len(profiles), ds.m)
+        rankings = list(profiles)
         memo = {}
-        trace = []
-        while state.necessary_winner() is None:
-            pw = state.pw_cache
+        for i, step in enumerate(result.trace):
+            pw = step.pw
             exact = None
             if len(pw) < ds.m:
                 exact = _exact_possible_winners(state.qs, memo)
-                assert exact <= pw, (trial, len(trace), sorted(exact), sorted(pw))
+                assert exact <= pw, (trial, i, sorted(exact), sorted(pw))
                 rounds_checked += 1
                 strict_rounds += exact != pw
-            query = state.select_query(policy, query_rng)
-            vs = voters[query.voter]
-            p_before, q_before = vs.p_current, state.qs[query.voter]
-            answer, manipulated = vs.respond(query.cj, query.ck, q_before, pw, MANIPULATIVE)
-            if manipulated:
+            v = step.query.voter
+            if step.manipulated:
                 manipulations += 1
                 assert exact is not None, "manipulation while every candidate was possible"
-                preferred, other = answer[1], answer[0]
-                found = find_manipulation(p_before, q_before, exact, preferred, other)
-                assert found.changed, (trial, len(trace), query, sorted(exact), sorted(pw))
-            state.apply_response(query, answer)
-            trace.append(TraceStep(query, answer, manipulated, pw))
-        # the replay above is the run the package records for this seed
-        recorded = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
-        assert recorded.trace == trace
+                preferred, other = step.response[::-1]
+                found = find_manipulation(rankings[v], state.qs[v], exact, preferred, other)
+                assert found.changed, (trial, i, step.query, sorted(exact), sorted(pw))
+                rankings[v] = step.adopted
+            state.apply_response(step.query, step.response)
     # the check must meet manipulations and rounds where the relaxation bites
     assert manipulations > 0 and strict_rounds > 0
     print(

@@ -237,6 +237,8 @@ class TestFindManipulation:
     def test_wrong_orientation_rejected(self):
         with pytest.raises(PreconditionViolationError):
             find_manipulation(TOY_P, PartialOrder(3), TOY_PW, 2, 0)
+        with pytest.raises(ValueError, match="possible-winner set must be nonempty"):
+            find_manipulation(TOY_P, PartialOrder(3), set(), 0, 2)
 
     def test_commitments_shape_the_rewrite(self):
         # 1 is committed above 2: pushing 0 below 1 must keep 1 above 2

@@ -170,6 +170,10 @@ class TestClosestExtensions:
         q = close({(0, 1), (1, 2)}, 3)
         with pytest.raises(InconsistencyError):
             closest_extensions(LinearOrder([0, 1, 2]), q, 2, 0)
+        with pytest.raises(InconsistencyError, match="cannot precede itself"):
+            closest_extensions(LinearOrder([0, 1, 2]), PartialOrder(3), 1, 1)
+        with pytest.raises(ValueError, match="same candidates"):
+            closest_extensions(LinearOrder([0, 1]), PartialOrder(3), 1, 0)
 
     def test_forced_pair_ends_up_adjacent(self):
         rng = random.Random(47)

@@ -103,6 +103,8 @@ class TestSampleProfiles:
         ds = Dataset("one", 2, [(LinearOrder([0, 1]), 1)])
         with pytest.raises(ValueError):
             sample_profiles(ds, 0, random.Random(0))
+        with pytest.raises(ValueError, match="no rankings"):
+            sample_profiles(Dataset("none", 2, []), 1, random.Random(0))
 
     def test_members_come_from_dataset(self):
         ds = bundled("sample7")

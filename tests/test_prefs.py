@@ -160,6 +160,8 @@ class TestAddPreference:
         q = close({(0, 1), (1, 2)}, 3)
         with pytest.raises(InconsistencyError):
             add_preference(q, 2, 0)
+        with pytest.raises(InconsistencyError, match="cannot precede itself"):
+            add_preference(q, 1, 1)
 
     def test_prior_pairs_preserved(self):
         q = close({(3, 1), (1, 0)}, 4)
@@ -204,6 +206,10 @@ class TestSwapDistance:
 
     def test_full_reversal(self):
         assert swap_distance(LinearOrder([0, 1, 2, 3]), LinearOrder([3, 2, 1, 0])) == 6
+
+    def test_rejects_other_sizes(self):
+        with pytest.raises(ValueError, match="same candidates"):
+            swap_distance(LinearOrder([0, 1, 2]), LinearOrder([0, 1]))
 
     @staticmethod
     def bubble_sort_swaps(p, p2):
