@@ -35,7 +35,7 @@ from .borda import (
 )
 from .manipulation import is_locally_dominant, order_pw
 from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference
-from .voter import BEHAVIORS, TRUTHFUL, VoterState
+from .voter import TRUTHFUL, VoterState
 
 ES = "es"
 RANDOM = "random"
@@ -302,8 +302,6 @@ def run_election(
     fork there and first asks that step's query, instead of replaying the
     shared prefix.  A twin that never manipulated ran this very election.
     """
-    if behavior not in BEHAVIORS:
-        raise ValueError(f"unknown behavior {behavior!r}")
     if twin is not None and behavior != TRUTHFUL:
         raise ValueError("only a truthful run can resume from a manipulative twin")
     n = len(profiles)
@@ -313,7 +311,7 @@ def run_election(
     if any(p.m != m for p in profiles):
         raise ValueError("all profiles must rank the same candidates")
 
-    voters = [VoterState(p) for p in profiles]
+    voters = [VoterState(p, behavior) for p in profiles]
     max_queries = n * m * (m - 1) // 2
     pending = None
     if twin is None:
@@ -341,14 +339,13 @@ def run_election(
         vs = voters[query.voter]
         before = vs.p_current
         # the voter searches against what she has revealed: the center's relation
-        answer, manipulated = vs.respond(
-            query.cj, query.ck, state.qs[query.voter], pw, behavior
-        )
-        if manipulated and not is_locally_dominant(vs.p_current, before, order_pw(before, pw)):
-            raise TraceInvariantError("manipulation is not locally dominant")
-        if manipulated and fork is None:
-            fork = (state.copy(), rng.getstate(), len(trace))
+        answer, adopted = vs.respond(query.cj, query.ck, state.qs[query.voter], pw)
+        if adopted is not None:
+            if not is_locally_dominant(adopted, before, order_pw(before, pw)):
+                raise TraceInvariantError("manipulation is not locally dominant")
+            if fork is None:
+                fork = (state.copy(), rng.getstate(), len(trace))
         state.apply_response(query, answer)
-        trace.append(TraceStep(query, answer, vs.p_current if manipulated else None, pw))
+        trace.append(TraceStep(query, answer, adopted, pw))
 
     return ElectionResult(winner, max_queries, trace, fork)

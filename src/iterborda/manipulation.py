@@ -79,21 +79,23 @@ def is_locally_dominant(
 
 def precheck(
     p: LinearOrder,
-    pw_ordered: Sequence[CandidateId],
+    top: CandidateId,
+    bottom: CandidateId,
     cj: CandidateId,
     ck: CandidateId,
 ) -> bool:
     """Positional feasibility test for manipulating the query (cj, ck).
 
-    A minimal locally dominant rewrite can exist only if the query straddles
-    an end of the possible-winner span: cj above the top possible winner with
-    ck at or below it, or ck below the bottom one with cj at or above it.
-    Queries with both candidates inside the span, both above it, or both
-    below it are hopeless and skipped.
+    ``top`` and ``bottom`` are the possible winners ``p`` ranks highest and
+    lowest, the ends of the possible-winner span.  A minimal locally dominant
+    rewrite can exist only if the query straddles an end of the span: cj
+    above ``top`` with ck at or below it, or ck below ``bottom`` with cj at
+    or above it.  Queries with both candidates inside the span, both above
+    it, or both below it are hopeless and skipped.
     """
     rank = p.rank_of
     lo, hi = rank[cj], rank[ck]
-    return lo < rank[pw_ordered[0]] <= hi or lo <= rank[pw_ordered[-1]] < hi
+    return lo < rank[top] <= hi or lo <= rank[bottom] < hi
 
 
 def find_manipulation(
@@ -127,8 +129,9 @@ def find_manipulation(
     built, in O(m log m), only at the pivots of smallest distance, scanned
     upward from ck, which never lowers cj: of the tied minimal dominant
     rewrites, the voter adopts the first, the one that ranks cj lowest, at
-    that smallest distance, with no recount.  If none is, she keeps her
-    current ranking.
+    that smallest distance, with no recount.  If none is, or if ``precheck``
+    rejects the query on the possible winners ``p`` ranks highest and
+    lowest, she keeps her current ranking.
     """
     mat = q.mat
     if mat.item(cj, ck) or mat.item(ck, cj):
@@ -142,12 +145,12 @@ def find_manipulation(
 
     if not pw:
         raise ValueError("possible-winner set must be nonempty")
-    # the precheck reads only the top and bottom possible winners, which a
-    # scan from each end of the ranking finds soonest while the set is large
+    # a scan from each end of the ranking finds the two possible winners the
+    # precheck reads soonest while the set is large
     ranking = p.ranking
     top = next(c for c in ranking if c in pw)
     bottom = next(c for c in reversed(ranking) if c in pw)
-    if not precheck(p, (top, bottom), cj, ck):
+    if not precheck(p, top, bottom, cj, ck):
         return ManipulationOutcome(False, p, 0)
     pw_ordered = order_pw(p, pw)
 

@@ -336,12 +336,11 @@ class TestRunElection:
         elicit_everything(state, LinearOrder([1, 2, 0]), 1)
         elicit_everything(state, LinearOrder([2, 1, 0]), 2)
         assert state.pw_cache == frozenset({1, 2})
-        vs = VoterState(LinearOrder([0, 1, 2]))
-        answer, manipulated = vs.respond(0, 1, state.qs[0], state.pw_cache, MANIPULATIVE)
+        vs = VoterState(LinearOrder([0, 1, 2]), MANIPULATIVE)
+        answer, adopted = vs.respond(0, 1, state.qs[0], state.pw_cache)
         state.apply_response(Query(0, 0, 1), answer)
-        assert manipulated
         assert answer == (1, 0)
-        assert vs.p_current == LinearOrder([1, 0, 2])
+        assert adopted == vs.p_current == LinearOrder([1, 0, 2])
 
     def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -185,28 +185,6 @@ class TestRunExperiment:
         assert pools == ([] if pool_size is None else [pool_size])
         assert records == run_experiment(tiny_config(**grid))
 
-    def test_paired_twins_share_query_prefix(self):
-        ds = bundled("sample7")
-        rng = random.Random(2)
-        found_manipulation = False
-        for trial in range(30):
-            n = rng.randint(3, 6)
-            profiles = [ds.entries[rng.randrange(len(ds.entries))][0] for _ in range(n)]
-            seed = derive_seed("twin-test", trial)
-            policy = Policy("random", False)
-            truthful = run_election(profiles, TRUTHFUL, policy, random.Random(seed))
-            manip = run_election(profiles, MANIPULATIVE, policy, random.Random(seed))
-            first = next(
-                (i for i, s in enumerate(manip.trace) if s.manipulated), None
-            )
-            if first is None:
-                assert [s.query for s in truthful.trace] == [s.query for s in manip.trace]
-            else:
-                found_manipulation = True
-                for i in range(first + 1):
-                    assert truthful.trace[i].query == manip.trace[i].query
-        assert found_manipulation
-
     @pytest.mark.parametrize("dataset", ["sample7", "sample10"])
     def test_truthful_twin_resumed_from_fork_equals_scratch_run(self, dataset):
         ds = bundled(dataset)
