@@ -9,9 +9,8 @@ rewrites.  :func:`enumerate_extensions` never prunes, so it stays exhaustive
 and serves as the slow twin; :func:`closest_extensions` branches and bounds,
 cutting a prefix once its running distance passes the best complete one, and
 folds its forced pair into the masks as it reads them.  Random instances
-close their sampled pairs on the row masks of :func:`prefs.close`, read the
-open pairs off them, and build the bool matrix once, for the relation they
-return.
+close their sampled pairs with :func:`prefs.close` and draw the query pair
+from :func:`prefs.unresolved_pairs`.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ from .prefs import (
     InconsistencyError,
     LinearOrder,
     PartialOrder,
-    _closed_rows,
-    _order_from_rows,
+    close,
     swap_distance,
+    unresolved_pairs,
 )
-# add_preference and close are unused here; they stay bound because perfbench/tracer.py patches them by name
-from .prefs import add_preference, close  # noqa: F401
+# add_preference is unused here; it stays bound because perfbench/tracer.py patches it by name
+from .prefs import add_preference  # noqa: F401
 
 DEFAULT_CAP = 8
 
@@ -212,27 +211,21 @@ def random_instance(
 ) -> tuple[LinearOrder, PartialOrder, set[CandidateId], CandidateId, CandidateId]:
     """A random manipulation scenario (p, q, pw, cj, ck) with valid givens.
 
-    The partial order is built from pairs sampled within ``p`` so the ranking
-    always extends it, the query pair is uncommitted and oriented by ``p``,
-    and the possible-winner set is a random nonempty candidate subset.  The
-    sampled pairs are closed on row masks, the open pairs read off them, and
-    the bool matrix built once, for the relation returned.
+    The partial order is the :func:`prefs.close` of pairs sampled within
+    ``p``, so the ranking always extends it; the query pair is one of its
+    :func:`prefs.unresolved_pairs`, oriented by ``p``; and the possible-winner
+    set is a random nonempty candidate subset.
     """
     p = LinearOrder(rng.sample(range(m), m))
     rank = p.rank_of
     all_pairs = [(a, b) for a, ra in enumerate(rank) for b, rb in enumerate(rank) if ra < rb]
     while True:
         k = rng.randrange(0, m * (m - 1) // 2)
-        below = _closed_rows(rng.sample(all_pairs, k), m)
-        open_pairs = [
-            (a, b)
-            for a in range(m)
-            for b in range(a + 1, m)
-            if not (below[a] >> b | below[b] >> a) & 1
-        ]
+        q = close(rng.sample(all_pairs, k), m)
+        open_pairs = unresolved_pairs(q)
         if open_pairs:
             break
     a, b = rng.choice(open_pairs)
     cj, ck = (a, b) if p.prefers(a, b) else (b, a)
     pw = set(rng.sample(range(m), rng.randint(1, m)))
-    return p, _order_from_rows(below, m), pw, cj, ck
+    return p, q, pw, cj, ck

@@ -115,16 +115,8 @@ def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> Parti
     not an integer, :class:`ValueError` for a pair naming a candidate outside
     0..m-1, and :class:`InconsistencyError` if the pairs imply a cycle (a self
     pair included).  Idempotent: re-closing a closed relation's pairs
-    reproduces it.  The two steps, the row masks (:func:`_closed_rows`) and
-    the matrix built from them (:func:`_order_from_rows`), are separate so
-    that ``oracle.random_instance`` can read open pairs off the masks.
+    reproduces it.
     """
-    return _order_from_rows(_closed_rows(raw_pairs, m), m)
-
-
-def _closed_rows(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> list[int]:
-    """The row masks of :func:`close`: ``below[a]`` holds the candidates the
-    closure commits below a.  Validates and raises as :func:`close` does."""
     below = [0] * m
     for a, b in raw_pairs:
         a, b = index(a), index(b)  # numpy ints pass, floats raise TypeError
@@ -141,11 +133,6 @@ def _closed_rows(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -
     for a in range(m):
         if below[a] >> a & 1:
             raise InconsistencyError(f"the pairs imply a cycle through candidate {a}")
-    return below
-
-
-def _order_from_rows(below: list[int], m: int) -> PartialOrder:
-    """The relation whose row a commits a over the candidates in ``below[a]``."""
     # row a's mask fills bits a*m .. a*m+m-1 of one int; little-endian bytes
     # unpack to the row-major matrix at any m, with no fixed-width overflow
     whole = 0
@@ -157,6 +144,17 @@ def _order_from_rows(below: list[int], m: int) -> PartialOrder:
         bitorder="little",
     )
     return PartialOrder(m, bits.reshape(m, m).view(bool))
+
+
+def unresolved_pairs(q: PartialOrder) -> list[tuple[CandidateId, CandidateId]]:
+    """All candidate pairs (a < b) of ``q`` with neither direction committed."""
+    rows = q.mat.tolist()
+    return [
+        (a, b)
+        for a in range(q.m)
+        for b in range(a + 1, q.m)
+        if not rows[a][b] and not rows[b][a]
+    ]
 
 
 def swap_distance(p: LinearOrder, p2: LinearOrder) -> int:

@@ -1,6 +1,7 @@
 """From-scratch references the tests compare the center against, test-side
-views of a ``CenterState``'s private caches, a relation's open pairs, linear
-extensions as rankings, and random relations."""
+views of a ``CenterState``'s private caches, linear extensions as rankings,
+and the relations the tests draw: every closed relation on m candidates, and
+random ones.  Every relation is built with ``prefs.close``."""
 
 import itertools
 from typing import Sequence
@@ -57,17 +58,6 @@ def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:
     return necessary_winner_from_total(_summed_diffs(qs))
 
 
-def unresolved_pairs(q: PartialOrder) -> list[tuple[CandidateId, CandidateId]]:
-    """All candidate pairs (a < b) of ``q`` with neither direction committed."""
-    rows = q.mat.tolist()
-    return [
-        (a, b)
-        for a in range(q.m)
-        for b in range(a + 1, q.m)
-        if not rows[a][b] and not rows[b][a]
-    ]
-
-
 def is_extension(p: LinearOrder, q: PartialOrder) -> bool:
     """True when every committed pair of ``q`` agrees with the ranking ``p``."""
     if p.m != q.m:
@@ -89,8 +79,25 @@ def joint_winner_set(qs: Sequence[PartialOrder]) -> set[CandidateId]:
     }
 
 
+def all_closed_relations(m: int) -> list[PartialOrder]:
+    """Every transitively closed strict partial order over m candidates."""
+    cells = [(a, b) for a in range(m) for b in range(m) if a != b]
+    out = []
+    for mask in range(1 << len(cells)):
+        pairs = {cells[i] for i in range(len(cells)) if mask >> i & 1}
+        if any((b, a) in pairs for a, b in pairs):
+            continue
+        if all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c):
+            out.append(close(pairs, m))
+    return out
+
+
+def relation_within(p: LinearOrder, rng) -> PartialOrder:
+    """The closure of a random subset of the pairs the ranking ``p`` orders."""
+    pairs = [(a, b) for a in range(p.m) for b in range(p.m) if p.prefers(a, b)]
+    return close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), p.m)
+
+
 def random_relation(m: int, rng) -> PartialOrder:
     """The closure of a random subset of the pairs of a random ranking."""
-    p = LinearOrder(rng.sample(range(m), m))
-    pairs = [(a, b) for a in range(m) for b in range(m) if p.prefers(a, b)]
-    return close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), m)
+    return relation_within(LinearOrder(rng.sample(range(m), m)), rng)

@@ -34,10 +34,10 @@ from iterborda.experiment import ExperimentConfig, derive_seed, run_experiment
 from iterborda.manipulation import find_manipulation, is_locally_dominant, order_pw
 from iterborda.oracle import oracle_manipulation, random_instance
 from iterborda.preflib import bundled, sample_profiles
-from iterborda.prefs import InconsistencyError, LinearOrder, close
+from iterborda.prefs import LinearOrder, unresolved_pairs
 from iterborda.voter import MANIPULATIVE, TRUTHFUL
 
-from center_helpers import is_extension, linear_extensions, unresolved_pairs
+from center_helpers import all_closed_relations, linear_extensions
 
 RANDOM_INSTANCES_PER_M = 10_000  # criterion 1, at m=5 and at m=6
 SCORE_BOUND_INSTANCES = 12_000  # criterion 4, m in 3..6
@@ -55,20 +55,6 @@ def _report(criterion: int, ok: bool, detail: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # criteria 1 and 3 share one instance sweep
-
-
-def _all_small_closures(m: int, max_pairs: int):
-    """Every distinct consistent closure reachable from <= max_pairs pairs."""
-    ordered = [(a, b) for a in range(m) for b in range(m) if a != b]
-    seen = {}
-    for k in range(max_pairs + 1):
-        for combo in itertools.combinations(ordered, k):
-            try:
-                q = close(combo, m)
-            except InconsistencyError:
-                continue
-            seen[frozenset(q.pairs())] = q
-    return list(seen.values())
 
 
 def _check_instance(p, q, pw, cj, ck, failures, safe_failures):
@@ -89,17 +75,14 @@ def oracle_sweep():
     checked = 0
     safe_checked = 0
 
-    # exhaustive m=4: every ranking x every small closure it extends x every
-    # open query pair x every nonempty possible-winner set
+    # exhaustive m=4: every closed relation x every ranking that extends it x
+    # every open query pair x every nonempty possible-winner set
     m = 4
-    perms = [LinearOrder(perm) for perm in itertools.permutations(range(m))]
     pw_sets = [set(s) for size in range(1, m + 1)
                for s in itertools.combinations(range(m), size)]
-    for q in _all_small_closures(m, max_pairs=3):
+    for q in all_closed_relations(m):
         open_pairs = unresolved_pairs(q)
-        for p in perms:
-            if not is_extension(p, q):
-                continue
+        for p in linear_extensions(q):
             for a, b in open_pairs:
                 cj, ck = (a, b) if p.prefers(a, b) else (b, a)
                 for pw in pw_sets:

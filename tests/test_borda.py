@@ -12,7 +12,7 @@ from iterborda.borda import (
     possible_winners_from_total,
     score_bounds_vectors,
 )
-from iterborda.prefs import LinearOrder, PartialOrder, close
+from iterborda.prefs import LinearOrder, PartialOrder, close, unresolved_pairs
 
 from center_helpers import (
     joint_winner_set,
@@ -20,7 +20,6 @@ from center_helpers import (
     necessary_winner,
     possible_winners,
     random_relation,
-    unresolved_pairs,
 )
 
 

@@ -32,9 +32,10 @@ from iterborda.center import (
     run_election,
 )
 from iterborda.preflib import sample_profiles
+from iterborda.prefs import unresolved_pairs
 from iterborda.voter import MANIPULATIVE
 
-from center_helpers import necessary_winner, possible_winners, unresolved, unresolved_pairs
+from center_helpers import necessary_winner, possible_winners, unresolved
 
 
 def reference_pair_voters(qs):

@@ -5,8 +5,10 @@ the package source on ``PYTHONPATH``.  ``make_sample_data.py`` is left out:
 it rewrites the bundled data files.  Instead its sample table is replayed in
 memory and compared with the bundled files.
 
-A package module may import a name it never uses only so that the
-benchmark's tracer (``perfbench/tracer.py``) can patch it there.
+A package module may import a name it never uses, and the package may define
+a top-level function or class that no module of the package, the demos or the
+benchmark refers to other than by importing it, only so that the benchmark's
+tracer (``perfbench/tracer.py``) can patch it.
 """
 
 import ast
@@ -47,12 +49,23 @@ def load_module(path):
     return module
 
 
-def test_unused_imports_are_tracer_targets():
+def test_unused_names_are_tracer_targets():
+    sources = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src/iterborda", "demos", "perfbench")
+        for path in (ROOT / folder).glob("*.py")
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
     unused = set()
-    for path in (ROOT / "src" / "iterborda").glob("*.py"):
-        if path.name == "__init__.py":
+    unreferenced = set()
+    for path, tree in sources.items():
+        if path.parent.name != "iterborda" or path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = {
             (alias.asname or alias.name).partition(".")[0]
             for node in ast.walk(tree)
@@ -62,6 +75,11 @@ def test_unused_imports_are_tracer_targets():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.update((path.stem, name) for name in bound - used)
+        unreferenced.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+        )
     tracer = load_module(ROOT / "perfbench" / "tracer.py")
     targets = {
         (owner.__name__.rpartition(".")[2], attr)
@@ -69,6 +87,8 @@ def test_unused_imports_are_tracer_targets():
         if inspect.ismodule(owner)
     }
     assert unused <= targets, sorted(unused - targets)
+    assert unreferenced <= {attr for _, attr in targets}, sorted(unreferenced)
+    assert unreferenced == {"necessary_winner_from_total", "enumerate_extensions"}
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,10 @@ from iterborda.prefs import (
     add_preference,
     close,
     swap_distance,
+    unresolved_pairs,
 )
 
-from center_helpers import is_extension, unresolved_pairs
+from center_helpers import is_extension
 
 
 def reference_precheck(p, pw_ordered, cj, ck):
@@ -93,13 +94,8 @@ def random_case(rng, m):
     from nearly empty to nearly complete; None when ``q`` left no pair open."""
     p = LinearOrder(rng.sample(range(m), m))
     density = rng.random() ** 2
-    mat = np.zeros((m, m), dtype=bool)
-    for i, a in enumerate(p.ranking):
-        for b in p.ranking[i + 1 :]:
-            mat[a, b] = rng.random() < density
-    for k in range(m):  # Warshall's transitive closure
-        mat |= np.outer(mat[:, k], mat[k])
-    q = PartialOrder(m, mat)
+    pairs = [(a, b) for a, b in itertools.combinations(p.ranking, 2) if rng.random() < density]
+    q = close(pairs, m)
     open_pairs = unresolved_pairs(q)
     if not open_pairs:
         return None

@@ -26,9 +26,10 @@ from iterborda.prefs import (
     add_preference,
     close,
     swap_distance,
+    unresolved_pairs,
 )
 
-from center_helpers import is_extension, linear_extensions, random_relation, unresolved_pairs
+from center_helpers import all_closed_relations, is_extension, linear_extensions, random_relation
 
 
 def _permutations_with_ranks(m):
@@ -46,19 +47,6 @@ def _reference_extensions(q, p, perms):
         for perm, rank in perms
         if all(rank[a] < rank[b] for a, b in pairs)
     ]
-
-
-def _all_closed_relations(m):
-    """Every transitively closed strict partial order over m candidates."""
-    cells = [(a, b) for a in range(m) for b in range(m) if a != b]
-    out = []
-    for mask in range(1 << len(cells)):
-        pairs = {cells[i] for i in range(len(cells)) if mask >> i & 1}
-        if any((b, a) in pairs for a, b in pairs):
-            continue
-        if all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c):
-            out.append(close(pairs, m))
-    return out
 
 
 class TestEnumerateExtensions:
@@ -89,7 +77,7 @@ class TestEnumerateExtensions:
 
     def test_filtered_permutations_in_order_with_distances(self):
         rng = random.Random(37)
-        cases = [q for m in range(1, 5) for q in _all_closed_relations(m)]
+        cases = [q for m in range(1, 5) for q in all_closed_relations(m)]
         assert len(cases) == 1 + 3 + 19 + 219  # labelled posets on 1..4 points
         cases += [random_relation(rng.randint(5, 6), rng) for _ in range(200)]
         cases += [random_relation(7, rng) for _ in range(20)]
@@ -111,7 +99,7 @@ class TestPlacementSteps:
         # already-committed pairs.  Each relation is enumerated once and
         # filtered per pair, which keeps the m = 8 relations cheap.
         rng = random.Random(67)
-        relations = [q for m in range(2, 5) for q in _all_closed_relations(m)]
+        relations = [q for m in range(2, 5) for q in all_closed_relations(m)]
         relations += [random_instance(m, rng)[1] for m in range(5, 9) for _ in range(50)]
         checked = 0
         for q in relations:
@@ -149,7 +137,7 @@ class TestClosestExtensions:
         # minimal distance, in the same (lexicographic) order
         rng = random.Random(43)
         cases = []
-        for q in (q for m in range(2, 5) for q in _all_closed_relations(m)):
+        for q in (q for m in range(2, 5) for q in all_closed_relations(m)):
             extensions = linear_extensions(q)
             for a, b in unresolved_pairs(q):
                 p = rng.choice(extensions)

@@ -1,4 +1,4 @@
-"""Tests for rankings, closures, intervals, projections, swap distance."""
+"""Tests for rankings, closures, added preferences, swap distance and extensions."""
 
 import hashlib
 import itertools
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterborda.manipulation import order_pw
 from iterborda.oracle import random_instance
 from iterborda.prefs import (
     InconsistencyError,
@@ -21,7 +20,7 @@ from iterborda.prefs import (
     swap_distance,
 )
 
-from center_helpers import is_extension
+from center_helpers import is_extension, random_relation, relation_within
 
 RANDOM_INSTANCES_SHA256 = "8fe75e46bcd72ce65e7008c1834f856fd1bdc449a6e37026e7594f303f6adb92"
 
@@ -33,13 +32,6 @@ def perm_strategy(max_m=8):
     return st.integers(2, max_m).flatmap(
         lambda m: st.permutations(list(range(m))).map(LinearOrder)
     )
-
-
-def random_consistent_relation(p, rng, k=None):
-    pairs = [(a, b) for a in range(p.m) for b in range(p.m) if p.prefers(a, b)]
-    if k is None:
-        k = rng.randrange(0, len(pairs) + 1)
-    return close(rng.sample(pairs, k), p.m)
 
 
 def floyd_warshall(pairs, m):
@@ -92,7 +84,7 @@ class TestClose:
 
     @given(perm_strategy(6), st.randoms(use_true_random=False))
     def test_idempotent(self, p, rng):
-        q = random_consistent_relation(p, rng)
+        q = relation_within(p, rng)
         assert close(q.pairs(), p.m) == q
 
     def test_self_pair_raises(self):
@@ -133,8 +125,8 @@ class TestClose:
         assert outcomes == {False, True}
 
     def test_random_instances_pinned(self):
-        """``random_instance`` closes its sampled pairs with ``_closed_rows``
-        and builds each relation with ``_order_from_rows``: 2 000 draws at
+        """``random_instance`` closes its sampled pairs with ``close`` and
+        draws the query pair from ``unresolved_pairs``: 2 000 draws at
         m = 2-8 and the generator's final state are pinned."""
         rng = random.Random(2024)
         digest = hashlib.sha256()
@@ -171,7 +163,7 @@ class TestAddPreference:
 
     @given(perm_strategy(6), st.randoms(use_true_random=False))
     def test_extension_preserved_by_consistent_add(self, p, rng):
-        q = random_consistent_relation(p, rng)
+        q = relation_within(p, rng)
         assert is_extension(p, q)
         a, b = rng.sample(range(p.m), 2)
         if not p.prefers(a, b):
@@ -184,7 +176,7 @@ class TestAddPreference:
         rng = random.Random(41)
         outcomes = set()
         for m in list(range(2, 31)) * 2:
-            q = random_consistent_relation(LinearOrder(rng.sample(range(m), m)), rng)
+            q = random_relation(m, rng)
             for _ in range(3):
                 a, b = rng.sample(range(m), 2)
                 expected = floyd_warshall(q.pairs() | {(a, b)}, m)
@@ -238,18 +230,6 @@ class TestSwapDistance:
         assert dab == swap_distance(b, a)
         assert (dab == 0) == (a == b)
         assert dab <= swap_distance(a, c) + swap_distance(c, b)
-
-
-class TestProject:
-    def test_subset_inherits_order(self):
-        assert order_pw(P, {0, 3, 5}) == (0, 3, 5)  # c1 > c4 > c6 under P
-
-    def test_full_set_is_identity(self):
-        assert order_pw(P, range(6)) == P.ranking
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            order_pw(P, set())
 
 
 class TestIsExtension:

@@ -7,10 +7,10 @@ import pytest
 
 from iterborda.center import CenterState, Query
 from iterborda.manipulation import PreconditionViolationError, order_pw
-from iterborda.prefs import LinearOrder, PartialOrder, close
+from iterborda.prefs import LinearOrder, PartialOrder, close, unresolved_pairs
 from iterborda.voter import MANIPULATIVE, TRUTHFUL, VoterState
 
-from center_helpers import is_extension, unresolved_pairs
+from center_helpers import is_extension
 
 
 class TestTruthful:
