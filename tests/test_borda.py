@@ -129,7 +129,7 @@ class TestPairDiffs:
     def test_matches_brute_force_on_random_relations(self):
         rng = random.Random(5)
         for _ in range(150):
-            m = rng.randint(2, 5)
+            m = rng.randint(2, 6)
             q = random_relation(m, rng)
             for c in range(m):
                 for c2 in range(m):
@@ -150,16 +150,6 @@ class TestPairDiffs:
             expected = [[0 if c == c2 else max_pair_diff(q, c, c2) for c2 in range(m)]
                         for c in range(m)]
             assert d.tolist() == expected
-
-    def test_max_at_least_min(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            m = rng.randint(2, 6)
-            q = random_relation(m, rng)
-            for c in range(m):
-                for c2 in range(m):
-                    if c != c2:
-                        assert max_pair_diff(q, c, c2) >= min_pair_diff(q, c, c2)
 
 
 def where_possible_winners(total):

@@ -5,9 +5,9 @@ and, after every step, recomputes each cache from the voters' relations alone
 and compares.  It stays at m <= 7; feeding the recorded answers of
 manipulative elections at m = 30 to a fresh center checks the same caches at
 every round.  A rule swaps in ``CenterState.copy()``, so the caches of copies
-are checked the same way.  Query selection is compared with a
-reference copy of the original list-walk selector, which rebuilds the pool
-from scratch every time: the same RNG state must give the same query and
+are checked the same way.  It is the unit suite's check of query selection:
+from the same RNG state, every policy must pick what a copy of the original
+list-walk selector picks, rebuilding the pool from scratch every time, and
 leave the RNG in the same state (one ``randrange`` over the same pool size).
 """
 

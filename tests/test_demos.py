@@ -8,7 +8,8 @@ memory and compared with the bundled files.
 A package module may import a name it never uses, and the package may define
 a top-level function or class that no module of the package, the demos or the
 benchmark refers to other than by importing it, only so that the benchmark's
-tracer (``perfbench/tracer.py``) can patch it.
+tracer (``perfbench/tracer.py``) can patch it.  Test modules get no such
+leeway: each uses all it imports, and a test module refers to each helper.
 """
 
 import ast
@@ -49,23 +50,17 @@ def load_module(path):
     return module
 
 
-def test_unused_names_are_tracer_targets():
-    sources = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for folder in ("src/iterborda", "demos", "perfbench")
-        for path in (ROOT / folder).glob("*.py")
-    }
+def dead_names(modules, readers):
+    """Imports a module never uses, as (module, name), and its top-level functions
+    and classes that no reader names; a test names its fixtures as parameters."""
     referenced = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in sources.values()
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.arg
+        for tree in readers
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.arg))
     }
-    unused = set()
-    unreferenced = set()
-    for path, tree in sources.items():
-        if path.parent.name != "iterborda" or path.name == "__init__.py":
-            continue
+    unused, unreferenced = set(), set()
+    for path, tree in modules.items():
         bound = {
             (alias.asname or alias.name).partition(".")[0]
             for node in ast.walk(tree)
@@ -80,6 +75,18 @@ def test_unused_names_are_tracer_targets():
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
         )
+    return unused, unreferenced
+
+
+def test_unused_names_are_tracer_targets():
+    sources = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src/iterborda", "demos", "perfbench", "tests")
+        for path in (ROOT / folder).glob("*.py")
+    }
+    tests = {p: t for p, t in sources.items() if p.parent.name == "tests"}
+    package = {p: t for p, t in sources.items() if p.parent.name == "iterborda" and p.stem != "__init__"}
+    unused, unreferenced = dead_names(package, [t for p, t in sources.items() if p not in tests])
     tracer = load_module(ROOT / "perfbench" / "tracer.py")
     targets = {
         (owner.__name__.rpartition(".")[2], attr)
@@ -89,6 +96,9 @@ def test_unused_names_are_tracer_targets():
     assert unused <= targets, sorted(unused - targets)
     assert unreferenced <= {attr for _, attr in targets}, sorted(unreferenced)
     assert unreferenced == {"necessary_winner_from_total", "enumerate_extensions"}
+    unused, unreferenced = dead_names(tests, tests.values())
+    assert not unused, sorted(unused)
+    assert all(name.startswith(("test_", "Test")) for name in unreferenced), sorted(unreferenced)
 
 
 @pytest.mark.parametrize(

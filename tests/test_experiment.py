@@ -151,12 +151,6 @@ class TestRunExperiment:
             assert rec.outcome_changed == (rec.winner != rec.paired_truthful_winner)
             assert 0 <= rec.manipulated_count <= rec.queries_issued
 
-    def test_deterministic_and_worker_independent(self):
-        a = run_experiment(tiny_config(reps_per_set=2))
-        b = run_experiment(tiny_config(reps_per_set=2))
-        c = run_experiment(tiny_config(reps_per_set=2, workers=2))
-        assert a == b == c
-
     @pytest.mark.parametrize(
         "workers, voter_counts, profile_sets, pool_size",
         [(3, [3], 1, None), (3, [3, 4], 1, 2), (2, [3, 4], 2, 2), (1, [3, 4], 2, None)],

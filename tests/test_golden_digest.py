@@ -1,12 +1,12 @@
 """Behaviour lock: pinned sha256 digests of a small sweep's CSV output and
 of the step-by-step traces of a set of elections.
 
-The README promises that identical config and seed give byte-identical
-``records.csv``.  These digests were computed before the voting center's
-caches were made incremental; any refactor of the center, the Borda kernels
-or the harness must leave them unchanged, at one worker and at two.  The CSV
-holds only per-election counts and winners, so the trace digest also pins
-every query, answer, adopted ranking and possible-winner set.
+They are the unit suite's determinism checks.  The CSV pins, at one worker
+and at two, hold the README's promise that identical config and seed give
+byte-identical ``records.csv``; any refactor of the center, the Borda kernels
+or the harness must leave them unchanged.  The CSV holds only per-election
+counts and winners, so the trace pin stands for identical traces from
+identical seeds: every query, answer, adopted ranking and possible-winner set.
 """
 
 import hashlib

@@ -139,27 +139,12 @@ class TestClose:
 
 
 class TestAddPreference:
-    def test_closure_applied(self):
-        q = close({(0, 1)}, 3)
-        q2 = add_preference(q, 1, 2)
-        assert q2.pairs() == {(0, 1), (1, 2), (0, 2)}
-
-    def test_add_to_empty(self):
-        q = add_preference(PartialOrder(3), 2, 0)
-        assert q.pairs() == {(2, 0)}
-
     def test_contradiction_detected(self):
         q = close({(0, 1), (1, 2)}, 3)
         with pytest.raises(InconsistencyError):
             add_preference(q, 2, 0)
         with pytest.raises(InconsistencyError, match="cannot precede itself"):
             add_preference(q, 1, 1)
-
-    def test_prior_pairs_preserved(self):
-        q = close({(3, 1), (1, 0)}, 4)
-        q2 = add_preference(q, 0, 2)
-        assert q.pairs() <= q2.pairs()
-        assert q2.holds(3, 2)  # inferred through the chain
 
     @given(perm_strategy(6), st.randoms(use_true_random=False))
     def test_extension_preserved_by_consistent_add(self, p, rng):
@@ -171,7 +156,6 @@ class TestAddPreference:
         q2 = add_preference(q, a, b)
         assert is_extension(p, q2)
 
-
     def test_matches_floyd_warshall(self):
         rng = random.Random(41)
         outcomes = set()
@@ -179,12 +163,14 @@ class TestAddPreference:
             q = random_relation(m, rng)
             for _ in range(3):
                 a, b = rng.sample(range(m), 2)
-                expected = floyd_warshall(q.pairs() | {(a, b)}, m)
+                before = q.pairs()
+                expected = floyd_warshall(before | {(a, b)}, m)
                 if expected is None:  # b over a is committed, so a over b closes a cycle
                     with pytest.raises(InconsistencyError):
                         add_preference(q, a, b)
                 else:
                     assert add_preference(q, a, b).pairs() == expected
+                assert q.pairs() == before  # the input relation is left unchanged
                 outcomes.add(expected is None)
         assert outcomes == {False, True}
 
