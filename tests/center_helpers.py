@@ -1,8 +1,9 @@
-"""From-scratch references the tests compare the center against, test-side
-views of a ``CenterState``'s private caches, linear extensions as rankings,
-and the relations the tests draw: every closed relation on m candidates, and
-random ones.  Every relation is built with ``prefs.close``."""
+"""From-scratch references the tests compare the center against, the one
+check and the one view of a ``CenterState``'s private caches, linear
+extensions as rankings, the relations the tests draw (all closed ones on m
+candidates, or random ones, built with ``prefs.close``) and a script loader."""
 
+import importlib.util
 import itertools
 from typing import Sequence
 
@@ -31,6 +32,38 @@ def unresolved(state):
     ]
 
 
+def reference_mid_total(qs: Sequence[PartialOrder]) -> np.ndarray:
+    """Summed sigma_min + sigma_max, counted from the boolean relations."""
+    m = qs[0].m
+    return sum(1 + q.mat.sum(axis=1) + m - q.mat.sum(axis=0) for q in qs)
+
+
+def assert_caches_match(state) -> None:
+    """Recompute each cache of a ``CenterState`` from its relations alone and
+    assert that it matches."""
+    qs = state.qs
+    # voters start out sharing one midpoint vector and one pair-diff matrix,
+    # so a write into one voter's entry in place shows up here
+    diffs = []
+    for q, mids, diff in zip(qs, state._mids, state._diffs, strict=True):
+        bounds = score_bounds_vectors(q)
+        diffs.append(pair_diff_matrix(q, bounds))
+        assert np.array_equal(mids, bounds[0] + bounds[1]) and np.array_equal(diff, diffs[-1])
+    total = sum(diffs)
+    assert np.array_equal(state._total, total)
+    assert np.array_equal(state._mid_total, reference_mid_total(qs))
+    # row k of the open and safe masks is the k-th pair (a < b) in lexicographic order
+    first, second = np.triu_indices(qs[0].m, 1)
+    assert np.array_equal(state._first, first) and np.array_equal(state._second, second)
+    open_mask = np.stack([~(q.mat | q.mat.T)[first, second] for q in qs], axis=1)
+    assert np.array_equal(state._open, open_mask)
+    is_pw = possible_winners_from_total(total)
+    assert state.pw_cache == set(np.flatnonzero(is_pw).tolist())
+    safe = (is_pw[first] & is_pw[second])[:, None]
+    assert np.array_equal(state._safe, np.broadcast_to(safe, open_mask.shape))
+    assert state.necessary_winner() == necessary_winner_from_total(total)
+
+
 def _summed_diffs(qs: Sequence[PartialOrder]) -> np.ndarray:
     return sum(pair_diff_matrix(q, score_bounds_vectors(q)) for q in qs)
 
@@ -42,8 +75,6 @@ def possible_winners(qs: Sequence[PartialOrder]) -> set[CandidateId]:
 
     The per-pair relaxation is a superset of the exact possible-winner set.
     """
-    if not qs:
-        raise ValueError("need at least one voter")
     return set(np.flatnonzero(possible_winners_from_total(_summed_diffs(qs))).tolist())
 
 
@@ -53,8 +84,6 @@ def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:
     Exact: per-voter score-difference minima are achieved independently, so the
     summed minimum equals the minimum over joint completions.
     """
-    if not qs:
-        raise ValueError("need at least one voter")
     return necessary_winner_from_total(_summed_diffs(qs))
 
 
@@ -101,3 +130,11 @@ def relation_within(p: LinearOrder, rng) -> PartialOrder:
 def random_relation(m: int, rng) -> PartialOrder:
     """The closure of a random subset of the pairs of a random ranking."""
     return relation_within(LinearOrder(rng.sample(range(m), m)), rng)
+
+
+def load_module(path):
+    """Import the script at ``path`` as a module named after its file."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,17 +1,16 @@
 """Stateful check of the voting center's incremental caches.
 
 A hypothesis state machine feeds a ``CenterState`` random consistent answers
-and, after every step, recomputes each cache from the voters' relations alone
-and compares.  It stays at m <= 7; feeding the recorded answers of
-manipulative elections at m = 30 to a fresh center checks the same caches at
-every round.  A rule swaps in ``CenterState.copy()``, so the caches of copies
-are checked the same way.  It is the unit suite's check of query selection:
-from the same RNG state, every policy must pick what a copy of the original
-list-walk selector picks, rebuilding the pool from scratch every time, and
-leave the RNG in the same state (one ``randrange`` over the same pool size).
+and, after every step, runs ``assert_caches_match``.  It stays at m <= 7;
+feeding the recorded answers of manipulative elections at m = 30 to a fresh
+center runs the same check at every round.  A rule swaps in
+``CenterState.copy()``, so the caches of copies are checked the same way.  It
+is the unit suite's check of query selection: from the same RNG state, every
+policy must pick what a copy of the original list-walk selector picks,
+rebuilding the pool from scratch every time, and leave the RNG in the same
+state (one ``randrange`` over the same pool size).
 """
 
-import importlib.util
 import random
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from iterborda import borda
 from iterborda.center import (
     ES,
     POLICIES,
@@ -35,7 +33,13 @@ from iterborda.preflib import sample_profiles
 from iterborda.prefs import unresolved_pairs
 from iterborda.voter import MANIPULATIVE
 
-from center_helpers import necessary_winner, possible_winners, unresolved
+from center_helpers import (
+    assert_caches_match,
+    load_module,
+    possible_winners,
+    reference_mid_total,
+    unresolved,
+)
 
 
 def reference_pair_voters(qs):
@@ -47,26 +51,6 @@ def reference_pair_voters(qs):
         for a in range(m)
         for b in range(a + 1, m)
     }
-
-
-def reference_mid_total(qs):
-    """Summed sigma_min + sigma_max, counted from the boolean relations."""
-    m = qs[0].m
-    return sum(1 + q.mat.sum(axis=1) + m - q.mat.sum(axis=0) for q in qs)
-
-
-def assert_total_matches(state):
-    expected = sum(
-        borda.pair_diff_matrix(q, borda.score_bounds_vectors(q)).astype(np.int64)
-        for q in state.qs
-    )
-    assert np.array_equal(state._total, expected)
-
-
-def reference_open_mask(qs):
-    """Pair-by-voter mask of the open (a < b) pairs, in lexicographic pair order."""
-    upper = np.triu_indices(qs[0].m, 1)
-    return np.stack([~(q.mat | q.mat.T)[upper] for q in qs], axis=1)
 
 
 def reference_select(qs, policy, rng):
@@ -112,13 +96,13 @@ class CenterCaches(RuleBasedStateMachine):
         # carry on with a copy; the invariants then check the copy's caches
         self.state = self.state.copy()
 
-    @precondition(lambda self: self.state._open.any())
+    @precondition(lambda self: unresolved(self.state))
     @rule(policy=st.sampled_from(POLICIES), flip=st.booleans())
     def answer_selected_query(self, policy, flip):
         query = self.state.select_query(policy, self.rng)
         self._answer(query, flip)
 
-    @precondition(lambda self: self.state._open.any())
+    @precondition(lambda self: unresolved(self.state))
     @rule(data=st.data(), flip=st.booleans())
     def answer_any_open_query(self, data, flip):
         query = data.draw(st.sampled_from(unresolved(self.state)))
@@ -130,35 +114,8 @@ class CenterCaches(RuleBasedStateMachine):
         self.state.apply_response(query, answer)
 
     @invariant()
-    def total_matches_recomputation(self):
-        assert_total_matches(self.state)
-
-    @invariant()
-    def winners_match_recomputation(self):
-        qs = self.state.qs
-        assert self.state.pw_cache == frozenset(possible_winners(qs))
-        assert self.state.necessary_winner() == necessary_winner(qs)
-
-    @invariant()
-    def unresolved_matches_recomputation(self):
-        pair_voters = reference_pair_voters(self.state.qs)
-        expected = [Query(v, a, b) for (a, b), vs in pair_voters.items() for v in vs]
-        assert unresolved(self.state) == expected
-        assert np.array_equal(self.state._open, reference_open_mask(self.state.qs))
-
-    @invariant()
-    def midpoints_match_recomputation(self):
-        assert np.array_equal(self.state._mid_total, reference_mid_total(self.state.qs))
-
-    @invariant()
-    def per_voter_caches_match_recomputation(self):
-        # voters start out sharing one midpoint vector and one pair-diff
-        # matrix, so a write into one voter's entry in place shows up here
-        state = self.state
-        for q, mids, diff in zip(state.qs, state._mids, state._diffs):
-            bounds = borda.score_bounds_vectors(q)
-            assert np.array_equal(mids, bounds[0] + bounds[1])
-            assert np.array_equal(diff, borda.pair_diff_matrix(q, bounds))
+    def caches_match_recomputation(self):
+        assert_caches_match(self.state)
 
     @invariant()
     def selection_matches_list_walk(self):
@@ -203,18 +160,11 @@ def test_es_falls_back_to_every_pair_when_its_star_is_resolved(policy):
     assert drawn == {Query(v, a, b) for a, b in [(1, 2), (1, 3), (2, 3)] for v in range(2)}
 
 
-def mallows30():
-    """The fixed m = 30 Mallows population the benchmark's large workload
-    samples from (200 draws, phi 0.9, seed 30)."""
-    path = Path(__file__).resolve().parents[1] / "demos" / "make_sample_data.py"
-    spec = importlib.util.spec_from_file_location("make_sample_data", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.make_sample("mallows30", 30, 200, 0.9, 30)
-
-
 def test_replay_m30_checks_caches_every_round():
-    ds = mallows30()
+    # the fixed m = 30 Mallows population the benchmark's large workload
+    # samples from (200 draws, phi 0.9, seed 30)
+    path = Path(__file__).resolve().parents[1] / "demos" / "make_sample_data.py"
+    ds = load_module(path).make_sample("mallows30", 30, 200, 0.9, 30)
     manipulations = 0
     for k, policy in enumerate(POLICIES):
         profiles = sample_profiles(ds, 5, random.Random(100 + k))
@@ -223,12 +173,7 @@ def test_replay_m30_checks_caches_every_round():
         for step in result.trace:
             assert step.pw == state.pw_cache
             state.apply_response(step.query, step.response)
-            qs = state.qs
-            assert_total_matches(state)
-            assert np.array_equal(state._mid_total, reference_mid_total(qs))
-            assert state.pw_cache == frozenset(possible_winners(qs))
-            assert np.array_equal(state._open, reference_open_mask(qs))
-            assert state.necessary_winner() == necessary_winner(qs)
+            assert_caches_match(state)
         assert state.pw_cache == {result.winner}
         manipulations += result.manipulated_count
     assert manipulations > 0

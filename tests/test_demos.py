@@ -13,7 +13,6 @@ leeway: each uses all it imports, and a test module refers to each helper.
 """
 
 import ast
-import importlib.util
 import inspect
 import os
 import subprocess
@@ -24,6 +23,8 @@ import pytest
 
 import iterborda
 from iterborda.preflib import serialize_soc
+
+from center_helpers import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,13 +42,6 @@ def test_exports_are_what_the_demos_import():
     }
     assert public == set(iterborda.__all__) == imported
     assert len(imported) == 13
-
-
-def load_module(path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def dead_names(modules, readers):

@@ -146,6 +146,14 @@ class TestRunExperiment:
             assert rec.winner == rec.paired_truthful_winner
             assert 0 < rec.queries_issued <= rec.max_queries
 
+    def test_one_behaviour_sweep_keeps_its_records(self):
+        # a manipulative-only sweep still runs each truthful twin, then drops its records
+        both = run_experiment(tiny_config(reps_per_set=3))
+        for behavior in (TRUTHFUL, MANIPULATIVE):
+            alone = run_experiment(tiny_config(reps_per_set=3, behaviors=[behavior]))
+            assert alone == [rec for rec in both if rec.behavior == behavior]
+        assert any(rec.manipulated_count for rec in alone)
+
     def test_outcome_changed_consistency(self):
         for rec in run_experiment(tiny_config(reps_per_set=4)):
             assert rec.outcome_changed == (rec.winner != rec.paired_truthful_winner)
