@@ -8,12 +8,12 @@ exists, and keeps the record of the run: one trace step per query, with the
 ranking a manipulating voter adopted, which the center never sees.
 
 A round makes one pass over the answering voter's new relation: her open
-pairs overwrite her column of the pair-by-voter open mask, and her score
-bounds, computed once, move the summed midpoints the ES heuristic ranks by
-and feed her pair-difference matrix, which replaces her old one in the
-summed matrix.  The possible-winner set is rebuilt only when its mask
-moves.  Query selection draws one open cell of the policy's rows of the open
-mask.
+pairs overwrite her column of the pair-by-voter open mask, and her record,
+her pair-difference matrix with her score midpoints as its last row,
+replaces her old one in the summed record, which holds both the matrix the
+possible winners are read from and the midpoints the ES heuristic ranks by.
+The possible-winner set is rebuilt only when its mask moves.  Query
+selection draws one open cell of the policy's rows of the open mask.
 """
 
 from __future__ import annotations
@@ -133,27 +133,35 @@ def is_safe(query: Query, pw: frozenset[CandidateId] | set[CandidateId]) -> bool
 
 
 @functools.cache
-def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Candidate pairs (a < b) in lexicographic order, once per m.
 
-    Returns the arrays of first and second candidates, indexed by pair, and
-    for each candidate the ascending indices of the m - 1 pairs touching it:
-    its ES pool, the rows of the open mask the ES heuristic draws from.
-    Every array is read-only.
+    Returns the arrays of first and second candidates and of each pair's
+    flat position in an m x m matrix, indexed by pair, and for each
+    candidate the ascending indices of the m - 1 pairs touching it: its ES
+    pool, the rows of the open mask the ES heuristic draws from.  Every
+    array is read-only.
     """
     first, second = np.triu_indices(m, 1)
+    upper = first * m + second
     es_pools = tuple(np.flatnonzero((first == c) | (second == c)) for c in range(m))
-    for arr in (first, second, *es_pools):
+    for arr in (first, second, upper, *es_pools):
         arr.flags.writeable = False
-    return first, second, es_pools
+    return first, second, upper, es_pools
+
+
+def _record(q: PartialOrder) -> np.ndarray:
+    """A voter's (m + 1) x m record: the rows of her pair-difference matrix,
+    then sigma_min + sigma_max per candidate."""
+    lo, hi = bounds = score_bounds_vectors(q)
+    return np.concatenate((pair_diff_matrix(q, bounds), (lo + hi)[None]))
 
 
 class CenterState:
     """Per-voter partial knowledge plus the caches derived from it.
 
     Every cache is refreshed from the answering voter's new relation alone.
-    The summed pair-difference matrix and midpoints are float64, exact for
-    the integers they hold.
+    The records and their sum are float64, exact for the integers they hold.
     """
 
     def __init__(self, n: int, m: int):
@@ -161,37 +169,30 @@ class CenterState:
             raise ValueError("need at least one voter and two candidates")
         empty = PartialOrder(m)
         self.qs: list[PartialOrder] = [empty] * n
-        self._first, self._second, self._es_pools = _pair_layout(m)
-        # flat position of each pair (a < b) in an m x m matrix
-        self._upper = self._first * m + self._second
+        self._first, self._second, _, self._es_pools = _pair_layout(m)
         # _open[k, v]: pair k is still open for voter v; its True cells in C
         # order are the open queries in draw order
         self._open = np.ones((len(self._first), n), dtype=bool)
-        # per voter: sigma_min + sigma_max per candidate, and the pair-diff
-        # matrix; the summed midpoints rank candidates for the ES heuristic.
-        # Voters share the empty relation and its caches, as entries are
-        # replaced, never changed in place.
-        bounds = score_bounds_vectors(empty)
-        mids = bounds[0] + bounds[1]
-        diff = pair_diff_matrix(empty, bounds)
-        self._mids, self._mid_total = [mids] * n, n * mids
-        self._diffs, self._total = [diff] * n, n * diff
+        # one record per voter, summed in _total.  Voters share the empty
+        # relation and its record, as entries are replaced, never changed in
+        # place.
+        record = _record(empty)
+        self._records, self._total = [record] * n, n * record
         self._pw_key = None
-        self._set_pw(possible_winners_from_total(self._total))
+        self._set_pw()
 
     def copy(self) -> CenterState:
         """An independent copy: answers applied to one leave the other unchanged."""
-        # pw_cache, _safe, the per-voter arrays and the pair layout are
+        # relations, records, pw_cache, _safe and the pair layout are
         # replaced, never changed in place
         twin = copy.copy(self)
-        for name in ("qs", "_mids", "_diffs"):
-            setattr(twin, name, list(getattr(self, name)))
-        for name in ("_total", "_mid_total", "_open"):
-            setattr(twin, name, getattr(self, name).copy())
+        twin.qs, twin._records = list(self.qs), list(self._records)
+        twin._total, twin._open = self._total.copy(), self._open.copy()
         return twin
 
-    def _set_pw(self, mask: np.ndarray) -> None:
-        """Publish the possible winners in ``mask`` and their safe pairs if they moved."""
+    def _set_pw(self) -> None:
+        """Publish the possible winners of ``_total`` and their safe pairs if they moved."""
+        mask = possible_winners_from_total(self._total[:-1])
         key = mask.tobytes()
         if key == self._pw_key:
             return
@@ -235,7 +236,7 @@ class CenterState:
         pool = None
         rows = self._open
         if policy.selector == ES:
-            es_pool = self._es_pools[self._mid_total.argmax()]
+            es_pool = self._es_pools[self._total[-1].argmax()]
             es_rows = rows.take(es_pool, axis=0)
             if np.count_nonzero(es_rows):
                 pool, rows = es_pool, es_rows
@@ -266,17 +267,13 @@ class CenterState:
         new = add_preference(old, a, b)  # raises InconsistencyError on conflict
         self.qs[v] = new
         mat = new.mat
-        self._open[:, v] = ~(mat | mat.T).take(self._upper)
-        bounds = score_bounds_vectors(new)
-        mids = bounds[0] + bounds[1]
-        self._mid_total -= self._mids[v]
-        self._mid_total += mids
-        self._mids[v] = mids
-        fresh = pair_diff_matrix(new, bounds)
-        self._total -= self._diffs[v]
-        self._total += fresh
-        self._diffs[v] = fresh
-        self._set_pw(possible_winners_from_total(self._total))
+        _, _, upper, _ = _pair_layout(new.m)
+        self._open[:, v] = ~(mat | mat.T).take(upper)
+        record = _record(new)
+        self._total -= self._records[v]
+        self._total += record
+        self._records[v] = record
+        self._set_pw()
 
 
 def run_election(

@@ -42,16 +42,17 @@ def assert_caches_match(state) -> None:
     """Recompute each cache of a ``CenterState`` from its relations alone and
     assert that it matches."""
     qs = state.qs
-    # voters start out sharing one midpoint vector and one pair-diff matrix,
-    # so a write into one voter's entry in place shows up here
-    diffs = []
-    for q, mids, diff in zip(qs, state._mids, state._diffs, strict=True):
-        bounds = score_bounds_vectors(q)
-        diffs.append(pair_diff_matrix(q, bounds))
-        assert np.array_equal(mids, bounds[0] + bounds[1]) and np.array_equal(diff, diffs[-1])
-    total = sum(diffs)
-    assert np.array_equal(state._total, total)
-    assert np.array_equal(state._mid_total, reference_mid_total(qs))
+    # a record is a voter's pair-diff matrix with her midpoints as a last
+    # row; voters start out sharing one, so a write into one voter's record
+    # in place shows up here
+    records = []
+    for q, record in zip(qs, state._records, strict=True):
+        lo, hi = bounds = score_bounds_vectors(q)
+        records.append(np.vstack((pair_diff_matrix(q, bounds), lo + hi)))
+        assert np.array_equal(record, records[-1])
+    assert np.array_equal(state._total, sum(records))
+    assert np.array_equal(state._total[-1], reference_mid_total(qs))
+    total = state._total[:-1]
     # row k of the open and safe masks is the k-th pair (a < b) in lexicographic order
     first, second = np.triu_indices(qs[0].m, 1)
     assert np.array_equal(state._first, first) and np.array_equal(state._second, second)

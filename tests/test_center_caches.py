@@ -3,9 +3,10 @@
 A hypothesis state machine feeds a ``CenterState`` random consistent answers
 and, after every step, runs ``assert_caches_match``.  It stays at m <= 7;
 feeding the recorded answers of manipulative elections at m = 30 to a fresh
-center runs the same check at every round.  A rule swaps in
-``CenterState.copy()``, so the caches of copies are checked the same way.  It
-is the unit suite's check of query selection: from the same RNG state, every
+center runs the same check at every round and on each fork.  A rule swaps in
+``CenterState.copy()`` and keeps the original, whose relations, possible
+winners and caches must not move as the copy answers on.  The machine is the
+unit suite's check of query selection: from the same RNG state, every
 policy must pick what a copy of the original list-walk selector picks,
 rebuilding the pool from scratch every time, and leave the RNG in the same
 state (one ``randrange`` over the same pool size).
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -86,6 +87,8 @@ class CenterCaches(RuleBasedStateMachine):
     def start(self, n, m, seed):
         self.state = CenterState(n, m)
         self.rng = random.Random(seed)
+        # each state a copy was taken from, with its relations and possible winners then
+        self.originals = []
 
     @rule(seed=st.integers(0, 2**32))
     def reseed(self, seed):
@@ -93,7 +96,8 @@ class CenterCaches(RuleBasedStateMachine):
 
     @rule()
     def copy(self):
-        # carry on with a copy; the invariants then check the copy's caches
+        # carry on with a copy; the invariants check both from here on
+        self.originals.append((self.state, list(self.state.qs), self.state.pw_cache))
         self.state = self.state.copy()
 
     @precondition(lambda self: unresolved(self.state))
@@ -116,6 +120,9 @@ class CenterCaches(RuleBasedStateMachine):
     @invariant()
     def caches_match_recomputation(self):
         assert_caches_match(self.state)
+        for original, qs, pw in self.originals:
+            assert original.qs == qs and original.pw_cache == pw
+            assert_caches_match(original)
 
     @invariant()
     def selection_matches_list_walk(self):
@@ -134,8 +141,9 @@ class CenterCaches(RuleBasedStateMachine):
             assert rng.getstate() == twin.getstate()
 
 
+# no shrink phase: shrinking a failing run took 60-110 s
 CenterCaches.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
+    max_examples=40, stateful_step_count=30, deadline=None, phases=set(Phase) - {Phase.shrink}
 )
 TestCenterCaches = CenterCaches.TestCase
 
@@ -169,6 +177,9 @@ def test_replay_m30_checks_caches_every_round():
     for k, policy in enumerate(POLICIES):
         profiles = sample_profiles(ds, 5, random.Random(100 + k))
         result = run_election(profiles, MANIPULATIVE, policy, random.Random(200 + k))
+        if result.fork is not None:
+            # copied mid-election and left alone while the run went on
+            assert_caches_match(result.fork[0])
         state = CenterState(5, 30)
         for step in result.trace:
             assert step.pw == state.pw_cache
