@@ -11,7 +11,6 @@ preferring queries that are provably immune to such rewrites.
 
 from .center import Policy, is_safe, run_election
 from .manipulation import find_manipulation, is_locally_dominant, order_pw
-from .oracle import oracle_manipulation
 from .preflib import bundled, bundled_path, sample_profiles
 from .prefs import LinearOrder, PartialOrder, swap_distance
 
@@ -24,7 +23,6 @@ __all__ = [
     "find_manipulation",
     "is_locally_dominant",
     "is_safe",
-    "oracle_manipulation",
     "order_pw",
     "run_election",
     "sample_profiles",

@@ -1,17 +1,14 @@
 """Command-line interface.
 
-Three subcommands:
+Two subcommands:
 
 * ``run``: one election on a dataset sample, trace printed to stdout;
-* ``experiment``: a config-driven sweep writing records.csv and summary.csv;
-* ``oracle-check``: random cross-validation of the fast manipulation search
-  against the brute-force reference, nonzero exit on any mismatch.
+* ``experiment``: a config-driven sweep writing records.csv and summary.csv.
 
 Bad input (an unreadable or malformed dataset or config, a dataset with
 fewer than two candidates, no voters, an output directory that cannot be
-created, a candidate count outside what the oracle can enumerate, fewer than
-one oracle instance) is reported as one line on stderr with exit code 2,
-before any output is written.
+created) is reported as one line on stderr with exit code 2, before any
+output is written.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ from pathlib import Path
 
 from . import experiment as exp
 from .center import POLICIES, Policy, is_safe, run_election
-from .manipulation import find_manipulation
-from .oracle import DEFAULT_CAP, oracle_manipulation, random_instance
 from .preflib import Dataset, ParseError, load_soc, sample_profiles
 from .voter import BEHAVIORS
 
@@ -107,30 +102,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    if not 2 <= args.m <= DEFAULT_CAP:
-        return _bad_input(f"--m must be between 2 and {DEFAULT_CAP}, got {args.m}")
-    if args.instances < 1:
-        return _bad_input(f"--instances must be at least 1, got {args.instances}")
-    rng = random.Random(args.seed)
-    for i in range(args.instances):
-        p, q, pw, cj, ck = random_instance(args.m, rng)
-        fast = find_manipulation(p, q, pw, cj, ck)
-        slow = oracle_manipulation(p, q, pw, cj, ck)
-        if fast != slow:
-            print(f"MISMATCH at instance {i}:")
-            print(f"  p  = {list(p.ranking)}")
-            print(f"  q  = {sorted(q.pairs())}")
-            print(f"  pw = {sorted(pw)}  query = ({cj}, {ck})")
-            print(f"  fast: changed={fast.changed} distance={fast.distance} "
-                  f"order={list(fast.new_order.ranking)}")
-            print(f"  oracle: changed={slow.changed} distance={slow.distance} "
-                  f"order={list(slow.new_order.ranking)}")
-            return 1
-    print(f"oracle-check: {args.instances} instances at m={args.m} agree")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iterborda",
@@ -150,15 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", required=True, help="flat key=value config file")
     p_exp.add_argument("--out", default=None, help="output directory (default: config's)")
     p_exp.set_defaults(func=_cmd_experiment)
-
-    p_orc = sub.add_parser(
-        "oracle-check",
-        help="cross-check the manipulation search against brute force",
-    )
-    p_orc.add_argument("--m", type=int, default=5, help=f"candidate count (2 to {DEFAULT_CAP})")
-    p_orc.add_argument("--instances", type=int, default=1000)
-    p_orc.add_argument("--seed", type=int, default=0)
-    p_orc.set_defaults(func=_cmd_oracle_check)
     return parser
 
 

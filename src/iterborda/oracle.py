@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here enumerates linear extensions, so it is capped at small
-candidate counts and meant for tests and the ``oracle-check`` command, not
-for production use inside election runs.  Both walks place candidates on int
+candidate counts and meant for the tests and the benchmark's ``oracle-m6``
+workload, not for use in election runs.  Both walks place candidates on int
 bitmasks and carry each extension's swap distance from the voter's ranking as
 a running sum, so a :class:`LinearOrder` is built only for the closest
 rewrites.  :func:`enumerate_extensions` never prunes, so it stays exhaustive

@@ -6,7 +6,6 @@ import re
 import pytest
 
 from iterborda.cli import main
-from iterborda.manipulation import ManipulationOutcome
 from iterborda.preflib import bundled_path
 
 
@@ -117,27 +116,6 @@ class TestExperiment:
         assert out.read_text(encoding="utf-8") == "not a directory"
 
 
-class TestOracleCheck:
-    def test_agreement_exit_zero(self, capsys):
-        rc = main(["oracle-check", "--m", "4", "--instances", "200", "--seed", "0"])
-        assert rc == 0
-        assert "200 instances at m=4 agree" in capsys.readouterr().out
-
-    def test_smallest_candidate_count(self, capsys):
-        assert main(["oracle-check", "--m", "2", "--instances", "20"]) == 0
-
-    def test_mismatch_exit_one(self, monkeypatch, capsys):
-        # a search that never manipulates disagrees with brute force on the
-        # first instance where a manipulation exists
-        monkeypatch.setattr(
-            "iterborda.cli.find_manipulation", lambda p, *_: ManipulationOutcome(False, p, 0)
-        )
-        assert main(["oracle-check", "--m", "5", "--instances", "200"]) == 1
-        out = capsys.readouterr().out
-        assert "MISMATCH at instance" in out
-        assert "  fast: changed=False distance=0" in out and "  oracle: changed=True" in out
-
-
 def assert_one_line_error(capsys, expected):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -182,13 +160,3 @@ class TestBadInput:
         ])
         assert rc == 2
         assert_one_line_error(capsys, "--voters must be at least 1, got 0")
-
-    @pytest.mark.parametrize("m", ["12", "1", "0", "-4"])
-    def test_oracle_candidate_count_out_of_range(self, capsys, m):
-        assert main(["oracle-check", "--m", m, "--instances", "5"]) == 2
-        assert_one_line_error(capsys, f"--m must be between 2 and 8, got {m}")
-
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_oracle_no_instances(self, capsys, n):
-        assert main(["oracle-check", "--m", "5", "--instances", n]) == 2
-        assert_one_line_error(capsys, f"--instances must be at least 1, got {n}")

@@ -41,7 +41,7 @@ def test_exports_are_what_the_demos_import():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(iterborda.__all__) == imported
-    assert len(imported) == 13
+    assert len(imported) == 12
 
 
 def dead_names(modules, readers):

@@ -247,13 +247,21 @@ class TestFindManipulation:
             assert precheck(p, pw_ordered[0], pw_ordered[-1], cj, ck)
         assert changed_seen > 20  # the sweep must actually exercise rewrites
 
-    def test_agrees_with_oracle_on_random_instances(self):
-        rng = random.Random(37)
-        for _ in range(1500):
-            m = rng.randint(3, 5)
+    @pytest.mark.parametrize(
+        "seed, m_low, m_high, instances",
+        [(0, m, m, 2000) for m in range(2, 7)]
+        + [(0, 7, 7, 300), (0, 8, 8, 1000), (37, 3, 5, 1500)],
+        ids=[f"m{m}" for m in range(2, 9)] + ["m3-5-seed37"],
+    )
+    def test_agrees_with_oracle_on_random_instances(self, seed, m_low, m_high, instances):
+        # a row with one candidate count draws no m, so it checks the first
+        # draws of random_instance(m, random.Random(seed)) themselves
+        rng = random.Random(seed)
+        for _ in range(instances):
+            m = m_low if m_low == m_high else rng.randint(m_low, m_high)
             p, q, pw, cj, ck = random_instance(m, rng)
             fast = find_manipulation(p, q, pw, cj, ck)
-            assert fast == oracle_manipulation(p, q, pw, cj, ck)
+            assert fast == oracle_manipulation(p, q, pw, cj, ck), (p, q, pw, cj, ck)
 
     def test_matches_reference_search(self):
         rng = random.Random(47)
