@@ -169,7 +169,7 @@ class CenterState:
             raise ValueError("need at least one voter and two candidates")
         empty = PartialOrder(m)
         self.qs: list[PartialOrder] = [empty] * n
-        self._first, self._second, _, self._es_pools = _pair_layout(m)
+        self._first, self._second, self._upper, self._es_pools = _pair_layout(m)
         # _open[k, v]: pair k is still open for voter v; its True cells in C
         # order are the open queries in draw order
         self._open = np.ones((len(self._first), n), dtype=bool)
@@ -267,8 +267,7 @@ class CenterState:
         new = add_preference(old, a, b)  # raises InconsistencyError on conflict
         self.qs[v] = new
         mat = new.mat
-        _, _, upper, _ = _pair_layout(new.m)
-        self._open[:, v] = ~(mat | mat.T).take(upper)
+        self._open[:, v] = ~(mat | mat.T).take(self._upper)
         record = _record(new)
         self._total -= self._records[v]
         self._total += record

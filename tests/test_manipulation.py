@@ -153,21 +153,6 @@ class TestIsLocallyDominant:
 
 
 class TestPrecheck:
-    def test_query_above_and_into_span(self):
-        assert precheck(TOY_P, 1, 2, 0, 1)
-
-    def test_both_inside_span(self):
-        assert not precheck(LinearOrder([0, 1, 2, 3]), 0, 3, 1, 2)
-
-    def test_both_below_span(self):
-        assert not precheck(LinearOrder([0, 1, 2, 3]), 0, 1, 2, 3)
-
-    def test_both_above_span(self):
-        assert not precheck(LinearOrder([0, 1, 2, 3]), 2, 3, 0, 1)
-
-    def test_straddling_span(self):
-        assert precheck(LinearOrder([0, 1, 2, 3]), 1, 2, 0, 3)
-
     def test_matches_reference_exhaustively(self):
         # every possible-winner set and ordered query pair, both orientations,
         # under every ranking for m <= 5 and three for m = 6 (precheck reads
