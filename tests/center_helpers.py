@@ -1,7 +1,9 @@
-"""From-scratch references the tests compare the center against, the one
-check and the one view of a ``CenterState``'s private caches, linear
-extensions as rankings, the relations the tests draw (all closed ones on m
-candidates, or random ones, built with ``prefs.close``) and a script loader."""
+"""From-scratch references the tests compare the center against (a
+Floyd-Warshall closure of pair sets and the list-walk query selector among
+them), the one check and the one view of a ``CenterState``'s private caches,
+linear extensions as rankings, the relations the tests draw (all closed ones
+on m candidates, or random ones, built with ``prefs.close``) and a script
+loader."""
 
 import importlib.util
 import itertools
@@ -16,9 +18,54 @@ from iterborda.borda import (
     possible_winners_from_total,
     score_bounds_vectors,
 )
-from iterborda.center import Query
+from iterborda.center import ES, NoQueriesLeftError, Query
 from iterborda.oracle import enumerate_extensions
 from iterborda.prefs import CandidateId, LinearOrder, PartialOrder, close
+
+
+def floyd_warshall(pairs, m):
+    """Reference transitive closure of ``pairs``, or None when they hold a cycle."""
+    reach = [[False] * m for _ in range(m)]
+    for a, b in pairs:
+        reach[a][b] = True
+    for k in range(m):
+        for i in range(m):
+            if reach[i][k]:
+                for j in range(m):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    if any(reach[i][i] for i in range(m)):
+        return None
+    return {(i, j) for i in range(m) for j in range(m) if reach[i][j]}
+
+
+def reference_select(open_pairs, mid_total, pw, policy, rng):
+    """The list-walk selector: rebuild the pool, draw once, walk to the query.
+
+    ``open_pairs`` holds each voter's open (a < b) pairs, ``mid_total`` the
+    summed sigma_min + sigma_max per candidate and ``pw`` the possible
+    winners; pairs come in lexicographic order, each with its voters
+    ascending.
+    """
+    m = len(mid_total)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    full = [(pair, [v for v, own in enumerate(open_pairs) if pair in own]) for pair in pairs]
+    full = [(pair, vs) for pair, vs in full if vs]
+    if not full:
+        raise NoQueriesLeftError("all pairs resolved for all voters")
+    pool = full
+    if policy.selector == ES:
+        star = int(np.argmax(mid_total))
+        pool = [(pair, vs) for pair, vs in full if star in pair] or full
+    if policy.careful:
+        safe = [(pair, vs) for pair, vs in pool if pair[0] in pw and pair[1] in pw]
+        if safe:
+            pool = safe
+    r = rng.randrange(sum(len(vs) for _, vs in pool))
+    for (a, b), voters in pool:
+        if r < len(voters):
+            return Query(voters[r], a, b)
+        r -= len(voters)
+    raise AssertionError("unreachable")
 
 
 def unresolved(state):

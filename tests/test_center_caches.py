@@ -7,7 +7,7 @@ center runs the same check at every round and on each fork.  A rule swaps in
 ``CenterState.copy()`` and keeps the original, whose relations, possible
 winners and caches must not move as the copy answers on.  The machine is the
 unit suite's check of query selection: from the same RNG state, every
-policy must pick what a copy of the original list-walk selector picks,
+policy must pick what the list-walk selector ``reference_select`` picks,
 rebuilding the pool from scratch every time, and leave the RNG in the same
 state (one ``randrange`` over the same pool size).
 """
@@ -39,41 +39,15 @@ from center_helpers import (
     load_module,
     possible_winners,
     reference_mid_total,
+    reference_select,
     unresolved,
 )
 
 
-def reference_pair_voters(qs):
-    """Unresolved (a < b) pair -> voters for whom it is open, in draw order."""
-    m = qs[0].m
-    open_sets = [set(unresolved_pairs(q)) for q in qs]
-    return {
-        (a, b): [v for v, pairs in enumerate(open_sets) if (a, b) in pairs]
-        for a in range(m)
-        for b in range(a + 1, m)
-    }
-
-
-def reference_select(qs, policy, rng):
-    """The list-walk selector: rebuild the pool, draw once, walk to the query."""
-    full = [(pair, vs) for pair, vs in reference_pair_voters(qs).items() if vs]
-    if not full:
-        raise NoQueriesLeftError("all pairs resolved for all voters")
-    pool = full
-    if policy.selector == ES:
-        star = int(np.argmax(reference_mid_total(qs)))
-        pool = [(pair, vs) for pair, vs in full if star in pair] or full
-    if policy.careful:
-        pw = possible_winners(qs)
-        safe = [(pair, vs) for pair, vs in pool if pair[0] in pw and pair[1] in pw]
-        if safe:
-            pool = safe
-    r = rng.randrange(sum(len(vs) for _, vs in pool))
-    for (a, b), voters in pool:
-        if r < len(voters):
-            return Query(voters[r], a, b)
-        r -= len(voters)
-    raise AssertionError("unreachable")
+def select_from_scratch(qs, policy, rng):
+    """``reference_select`` on the open pairs, midpoints and PW recomputed from ``qs``."""
+    open_pairs = [set(unresolved_pairs(q)) for q in qs]
+    return reference_select(open_pairs, reference_mid_total(qs), possible_winners(qs), policy, rng)
 
 
 def cloned(rng):
@@ -130,7 +104,7 @@ class CenterCaches(RuleBasedStateMachine):
             rng = random.Random(self.rng.random())
             twin = cloned(rng)
             try:
-                expected = reference_select(self.state.qs, policy, twin)
+                expected = select_from_scratch(self.state.qs, policy, twin)
             except NoQueriesLeftError:
                 expected = NoQueriesLeftError
             try:
@@ -162,7 +136,7 @@ def test_es_falls_back_to_every_pair_when_its_star_is_resolved(policy):
     for _ in range(200):
         twin = cloned(rng)
         query = state.select_query(policy, rng)
-        assert query == reference_select(state.qs, policy, twin)
+        assert query == select_from_scratch(state.qs, policy, twin)
         assert rng.getstate() == twin.getstate()
         drawn.add(query)
     assert drawn == {Query(v, a, b) for a, b in [(1, 2), (1, 3), (2, 3)] for v in range(2)}

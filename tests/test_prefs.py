@@ -20,7 +20,7 @@ from iterborda.prefs import (
     swap_distance,
 )
 
-from center_helpers import is_extension, random_relation, relation_within
+from center_helpers import floyd_warshall, is_extension, random_relation, relation_within
 
 RANDOM_INSTANCES_SHA256 = "8fe75e46bcd72ce65e7008c1834f856fd1bdc449a6e37026e7594f303f6adb92"
 
@@ -32,21 +32,6 @@ def perm_strategy(max_m=8):
     return st.integers(2, max_m).flatmap(
         lambda m: st.permutations(list(range(m))).map(LinearOrder)
     )
-
-
-def floyd_warshall(pairs, m):
-    """Reference transitive closure of ``pairs``, or None when they hold a cycle."""
-    reach = [[False] * m for _ in range(m)]
-    for a, b in pairs:
-        reach[a][b] = True
-    for k in range(m):
-        for i in range(m):
-            if reach[i][k]:
-                for j in range(m):
-                    reach[i][j] = reach[i][j] or reach[k][j]
-    if any(reach[i][i] for i in range(m)):
-        return None
-    return {(i, j) for i in range(m) for j in range(m) if reach[i][j]}
 
 
 class TestLinearOrder:
