@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import functools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -104,19 +104,18 @@ class ElectionResult:
     """Outcome and full trace of a single election run.
 
     ``trace`` holds one step per query issued; the counts are read off it.
-    ``fork`` is set on a manipulative run that manipulated at least once: the
-    center's state, the RNG state and the index k of the first manipulated
-    step, after its query was drawn and before its answer was applied.  Up to
-    there the truthful run on the same seed is identical, so it can resume
-    from the fork at step k.
+    ``fork`` holds the center's state, the RNG state and a step index k.  On
+    a run that manipulated, k is its first manipulated step, and the fork is
+    taken after that step's query was drawn and before its answer was
+    applied; on any other run, k is ``len(trace)`` and the fork is its end.
+    Up to step k the truthful run on the same seed is identical, so it can
+    resume from the fork there.
     """
 
     winner: CandidateId
     max_queries: int
     trace: list[TraceStep] = field(repr=False)
-    fork: tuple[CenterState, tuple, int] | None = field(
-        default=None, repr=False, compare=False
-    )
+    fork: tuple[CenterState, tuple, int] = field(repr=False, compare=False)
 
     @property
     def queries_issued(self) -> int:
@@ -296,7 +295,8 @@ def run_election(
     only a truthful run accepts it.  The two runs agree up to the twin's
     first manipulated answer, so the truthful run resumes from the twin's
     fork there and first asks that step's query, instead of replaying the
-    shared prefix.  A twin that never manipulated ran this very election.
+    shared prefix.  The fork of a twin that never manipulated is its end,
+    where the resumed run finds the necessary winner at once.
     """
     if twin is not None and behavior != TRUTHFUL:
         raise ValueError("only a truthful run can resume from a manipulative twin")
@@ -309,19 +309,17 @@ def run_election(
 
     voters = [VoterState(p, behavior) for p in profiles]
     max_queries = n * m * (m - 1) // 2
-    pending = None
+    pending = fork = None
     if twin is None:
         state = CenterState(n, m)
         trace = []
-    elif twin.fork is None:
-        return replace(twin, trace=list(twin.trace))
     else:
         fork_state, rng_state, k = twin.fork
         state = fork_state.copy()
         rng.setstate(rng_state)
-        pending = twin.trace[k].query
         trace = twin.trace[:k]
-    fork = None
+        if k < len(twin.trace):
+            pending = twin.trace[k].query
 
     while True:
         winner = state.necessary_winner()
@@ -344,4 +342,4 @@ def run_election(
         state.apply_response(query, answer)
         trace.append(TraceStep(query, answer, adopted, pw))
 
-    return ElectionResult(winner, max_queries, trace, fork)
+    return ElectionResult(winner, max_queries, trace, fork or (state, rng.getstate(), len(trace)))

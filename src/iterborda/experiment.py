@@ -5,9 +5,10 @@ base seed and the run's coordinates, and each manipulative run shares its
 seed with a truthful twin so that any change in the final winner is
 attributable to manipulation alone.  The two twins ask the same queries and
 get the same answers up to the first manipulated answer, so the manipulative
-twin runs first and the truthful twin resumes from its state there instead
-of replaying the shared prefix.  Records are sorted by their coordinates
-before writing, so the CSV bytes do not depend on worker scheduling.
+twin runs first and the truthful twin resumes from its state there, or from
+its end if it never manipulated, instead of replaying the shared prefix.
+Records are sorted by their coordinates before writing, so the CSV bytes do
+not depend on worker scheduling.
 """
 
 from __future__ import annotations

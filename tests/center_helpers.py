@@ -1,9 +1,10 @@
 """From-scratch references the tests compare the center against (a
 Floyd-Warshall closure of pair sets and the list-walk query selector among
 them), the one check and the one view of a ``CenterState``'s private caches,
-linear extensions as rankings, the relations the tests draw (all closed ones
-on m candidates, or random ones, built with ``prefs.close``) and a script
-loader."""
+linear extensions as rankings and their Borda scores, the possible and
+necessary winners read off a summed matrix by their thresholds, the relations
+the tests draw (all closed ones on m candidates, or random ones, built with
+``prefs.close``) and a script loader."""
 
 import importlib.util
 import itertools
@@ -146,6 +147,29 @@ def is_extension(p: LinearOrder, q: PartialOrder) -> bool:
 def linear_extensions(q: PartialOrder) -> list[LinearOrder]:
     """Every linear extension of ``q`` as a ranking, in lexicographic order."""
     return [LinearOrder(r) for r, _ in enumerate_extensions(q, LinearOrder(range(q.m)))]
+
+
+def extension_scores(q: PartialOrder) -> np.ndarray:
+    """The Borda scores of every linear extension of ``q``: one row per
+    extension, in ``linear_extensions`` order, one column per candidate."""
+    return q.m - np.array([e.rank_of for e in linear_extensions(q)])
+
+
+def threshold_winners(total) -> tuple[frozenset[CandidateId], CandidateId | None]:
+    """The possible winners and the necessary winner (or None) of a summed
+    pair-difference maximum matrix ``total``, read off the tie-break
+    thresholds.
+
+    A rival c2 with a lower id wins its tie with c, so c must beat it
+    strictly: c is a possible winner when every summed maximum
+    ``total[c, c2]`` reaches that threshold, and the necessary winner when
+    every summed minimum ``-total[c2, c]`` does (the lowest such c).
+    """
+    t = total.tolist()
+    m = len(t)
+    pw = frozenset(c for c in range(m) if all(t[c][c2] >= (c2 < c) for c2 in range(m)))
+    sure = [c for c in range(m) if all(-t[c2][c] >= (c2 < c) for c2 in range(m))]
+    return pw, (sure[0] if sure else None)
 
 
 def joint_winner_set(qs: Sequence[PartialOrder]) -> set[CandidateId]:

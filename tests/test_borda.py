@@ -15,21 +15,17 @@ from iterborda.borda import (
 from iterborda.prefs import LinearOrder, PartialOrder, close, unresolved_pairs
 
 from center_helpers import (
+    extension_scores,
     joint_winner_set,
-    linear_extensions,
     necessary_winner,
     possible_winners,
     random_relation,
+    threshold_winners,
 )
 
 
 def lin(*ranking):
     return LinearOrder(ranking)
-
-
-def brute_force_extremes(q, c, c2):
-    diffs = [e.rank_of[c2] - e.rank_of[c] for e in linear_extensions(q)]
-    return max(diffs), min(diffs)
 
 
 def max_pair_diff(q, c, c2):
@@ -104,8 +100,7 @@ class TestScoreBounds:
             lo, hi = score_bounds_vectors(q)
             assert ((1 <= lo) & (lo <= hi) & (hi <= m)).all()
             # tight: each bound is reached by some linear extension
-            scores = np.array([[m - e.rank_of[c] for c in range(m)]
-                               for e in linear_extensions(q)])
+            scores = extension_scores(q)
             assert (scores.min(axis=0) == lo).all()
             assert (scores.max(axis=0) == hi).all()
 
@@ -131,13 +126,14 @@ class TestPairDiffs:
         for _ in range(150):
             m = rng.randint(2, 6)
             q = random_relation(m, rng)
+            scores = extension_scores(q)
             for c in range(m):
                 for c2 in range(m):
                     if c == c2:
                         continue
-                    hi, lo = brute_force_extremes(q, c, c2)
-                    assert max_pair_diff(q, c, c2) == hi
-                    assert min_pair_diff(q, c, c2) == lo
+                    diffs = scores[:, c] - scores[:, c2]
+                    assert max_pair_diff(q, c, c2) == diffs.max()
+                    assert min_pair_diff(q, c, c2) == diffs.min()
 
     def test_matrix_agrees_with_scalar(self):
         rng = random.Random(6)
@@ -152,29 +148,8 @@ class TestPairDiffs:
             assert d.tolist() == expected
 
 
-def where_possible_winners(total):
-    """The original formulation: a masked np.where, then the diagonal set."""
-    m = total.shape[0]
-    idx = np.arange(m)
-    strict = idx[None, :] < idx[:, None]
-    ok = np.where(strict, total > 0, total >= 0)
-    np.fill_diagonal(ok, True)
-    return frozenset(int(c) for c in np.flatnonzero(ok.all(axis=1)))
-
-
-def where_necessary_winner(total):
-    m = total.shape[0]
-    idx = np.arange(m)
-    strict = idx[None, :] < idx[:, None]
-    min_total = -total.T
-    ok = np.where(strict, min_total > 0, min_total >= 0)
-    np.fill_diagonal(ok, True)
-    winners = np.flatnonzero(ok.all(axis=1))
-    return int(winners[0]) if winners.size else None
-
-
 class TestWinnersFromTotal:
-    def test_agree_with_where_formulation(self):
+    def test_agree_with_threshold_reference(self):
         rng = random.Random(29)
         np_rng = np.random.default_rng(29)
         for _ in range(300):
@@ -189,8 +164,9 @@ class TestWinnersFromTotal:
                 total = np_rng.integers(-2, 3, (m, m))
                 np.fill_diagonal(total, 0)
             mask = possible_winners_from_total(total)
-            assert frozenset(np.flatnonzero(mask).tolist()) == where_possible_winners(total)
-            assert necessary_winner_from_total(total) == where_necessary_winner(total)
+            pw, winner = threshold_winners(total)
+            assert frozenset(np.flatnonzero(mask).tolist()) == pw
+            assert necessary_winner_from_total(total) == winner
 
 
 class TestPossibleWinners:
