@@ -9,9 +9,10 @@ against 2.  The engine finds exactly that rewrite, with a single swap.
 Run:  python demos/manipulation_walkthrough.py
 """
 
+import numpy as np
+
 from iterborda import (
     LinearOrder,
-    PartialOrder,
     find_manipulation,
     is_locally_dominant,
     order_pw,
@@ -19,7 +20,8 @@ from iterborda import (
 )
 
 truthful = LinearOrder([0, 1, 2])
-revealed = PartialOrder(3)  # nothing committed yet
+# what she has revealed: revealed[a, b] is True once "a over b" is committed
+revealed = np.zeros((3, 3), dtype=bool)  # nothing committed yet
 possible_winners = {1, 2}
 
 print("true ranking     :", list(truthful.ranking))

@@ -12,11 +12,10 @@ preferring queries that are provably immune to such rewrites.
 from .center import Policy, is_safe, run_election
 from .manipulation import find_manipulation, is_locally_dominant, order_pw
 from .preflib import bundled, bundled_path, sample_profiles
-from .prefs import LinearOrder, PartialOrder, swap_distance
+from .prefs import LinearOrder, swap_distance
 
 __all__ = [
     "LinearOrder",
-    "PartialOrder",
     "Policy",
     "bundled",
     "bundled_path",

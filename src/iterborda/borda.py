@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .prefs import CandidateId, LinearOrder, PartialOrder
+from .prefs import CandidateId, LinearOrder
 
 
 def borda_winner(profile: Sequence[LinearOrder]) -> CandidateId:
@@ -44,7 +44,7 @@ def _ones(m: int) -> np.ndarray:
     return ones
 
 
-def score_bounds_vectors(q: PartialOrder) -> tuple[np.ndarray, np.ndarray]:
+def score_bounds_vectors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tight Borda score bounds (sigma_min, sigma_max) under ``q``, one entry
     per candidate: 1 plus the candidates committed below it, and m minus the
     candidates committed above it.
@@ -52,12 +52,13 @@ def score_bounds_vectors(q: PartialOrder) -> tuple[np.ndarray, np.ndarray]:
     The counts are float64 products of the 0/1 relation with a ones vector,
     which are cheaper than boolean reductions and exact at these sizes.
     """
-    rel = q.mat.astype(np.float64)
-    ones = _ones(q.m)
-    return 1.0 + rel @ ones, q.m - ones @ rel
+    m = len(q)
+    rel = q.astype(np.float64)
+    ones = _ones(m)
+    return 1.0 + rel @ ones, m - ones @ rel
 
 
-def pair_diff_matrix(q: PartialOrder, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def pair_diff_matrix(q: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Matrix D with D[c, c2] the exact maximum of score(c) - score(c2) over
     all linear extensions of ``q``; diagonal 0.
 
@@ -71,12 +72,11 @@ def pair_diff_matrix(q: PartialOrder, bounds: tuple[np.ndarray, np.ndarray]) -> 
     this small.
     """
     lo, hi = bounds
-    mat = q.mat
-    rel = mat.astype(np.float64)
+    rel = q.astype(np.float64)
     d = np.subtract.outer(hi, lo)
     # (rel @ rel)[c2, c] = #x with c2 over x over c
-    np.copyto(d, -1.0 - (rel @ rel).T, where=mat.T)
-    d.flat[:: q.m + 1] = 0.0
+    np.copyto(d, -1.0 - (rel @ rel).T, where=q.T)
+    d.flat[:: len(q) + 1] = 0.0
     return d
 
 

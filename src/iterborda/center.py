@@ -34,7 +34,7 @@ from .borda import (
     score_bounds_vectors,
 )
 from .manipulation import is_locally_dominant, order_pw
-from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference
+from .prefs import CandidateId, LinearOrder, add_preference
 from .voter import TRUTHFUL, VoterState
 
 ES = "es"
@@ -149,7 +149,7 @@ def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.n
     return first, second, upper, es_pools
 
 
-def _record(q: PartialOrder) -> np.ndarray:
+def _record(q: np.ndarray) -> np.ndarray:
     """A voter's (m + 1) x m record: the rows of her pair-difference matrix,
     then sigma_min + sigma_max per candidate."""
     lo, hi = bounds = score_bounds_vectors(q)
@@ -166,8 +166,8 @@ class CenterState:
     def __init__(self, n: int, m: int):
         if n < 1 or m < 2:
             raise ValueError("need at least one voter and two candidates")
-        empty = PartialOrder(m)
-        self.qs: list[PartialOrder] = [empty] * n
+        empty = np.zeros((m, m), dtype=bool)
+        self.qs: list[np.ndarray] = [empty] * n
         self._first, self._second, self._upper, self._es_pools = _pair_layout(m)
         # _open[k, v]: pair k is still open for voter v; its True cells in C
         # order are the open queries in draw order
@@ -261,12 +261,11 @@ class CenterState:
             raise ValueError("response candidates do not match the query")
         v = query.voter
         old = self.qs[v]
-        if old.mat.item(a, b):
+        if old.item(a, b):
             raise ValueError("query was already resolved for this voter")
         new = add_preference(old, a, b)  # raises InconsistencyError on conflict
         self.qs[v] = new
-        mat = new.mat
-        self._open[:, v] = ~(mat | mat.T).take(self._upper)
+        self._open[:, v] = ~(new | new.T).take(self._upper)
         record = _record(new)
         self._total -= self._records[v]
         self._total += record

@@ -114,6 +114,7 @@ def derive_seed(*parts) -> int:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` config; lists are comma-separated."""
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -124,6 +125,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ValueError(f"config line {line_no}: key {key!r} given twice")
         raw[key] = value
+        line_of[key] = line_no
 
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known
@@ -132,9 +134,20 @@ def parse_config(text: str) -> ExperimentConfig:
     if "dataset" not in raw:
         raise ValueError("config is missing required key 'dataset'")
 
+    def integer(key: str, token: str) -> int:
+        """``token``, read from ``key``'s value, as an int; an error names the line."""
+        try:
+            return int(token)
+        except ValueError:
+            must = "list integers" if key == "voter_counts" else "be an integer"
+            raise ValueError(
+                f"config line {line_of[key]}: {key} must {must}, got {token.strip()!r}"
+            ) from None
+
     kwargs: dict = {"dataset": raw["dataset"]}
     if "voter_counts" in raw:
-        kwargs["voter_counts"] = [int(tok) for tok in raw["voter_counts"].split(",")]
+        tokens = raw["voter_counts"].split(",")
+        kwargs["voter_counts"] = [integer("voter_counts", tok) for tok in tokens]
     if "policies" in raw:
         names = raw["policies"].split(",")
         kwargs["policies"] = [Policy.parse(tok.strip().lower()) for tok in names]
@@ -142,14 +155,14 @@ def parse_config(text: str) -> ExperimentConfig:
         kwargs["behaviors"] = [tok.strip().lower() for tok in raw["behaviors"].split(",")]
     for key in ("profile_sets", "reps_per_set", "base_seed", "workers"):
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = integer(key, raw[key])
     if "output" in raw:
         kwargs["output"] = raw["output"]
     return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _run_profile_set(

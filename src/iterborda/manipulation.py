@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .prefs import CandidateId, LinearOrder, PartialOrder
+import numpy as np
+
+from .prefs import CandidateId, LinearOrder
 # swap_distance is unused here; it stays bound because perfbench/tracer.py patches it by name
 from .prefs import swap_distance  # noqa: F401
 
@@ -100,7 +102,7 @@ def precheck(
 
 def find_manipulation(
     p: LinearOrder,
-    q: PartialOrder,
+    q: np.ndarray,
     pw: Collection[CandidateId],
     cj: CandidateId,
     ck: CandidateId,
@@ -133,8 +135,7 @@ def find_manipulation(
     rejects the query on the possible winners ``p`` ranks highest and
     lowest, she keeps her current ranking.
     """
-    mat = q.mat
-    if mat.item(cj, ck) or mat.item(ck, cj):
+    if q.item(cj, ck) or q.item(ck, cj):
         raise PreconditionViolationError(
             f"queried pair ({cj}, {ck}) is already committed"
         )
@@ -154,8 +155,8 @@ def find_manipulation(
         return ManipulationOutcome(False, p, 0)
     pw_ordered = order_pw(p, pw)
 
-    in_pb = mat[cj].tolist()
-    in_ca = mat[:, ck].tolist()
+    in_pb = q[cj].tolist()
+    in_ca = q[:, ck].tolist()
     between = ranking[lo + 1 : hi]
     # the first pivot sits at ck: T is all of B and U is empty
     t_pb = inv_t = 0

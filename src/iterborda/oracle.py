@@ -30,7 +30,6 @@ from .prefs import (
     CandidateId,
     InconsistencyError,
     LinearOrder,
-    PartialOrder,
     close,
     swap_distance,
     unresolved_pairs,
@@ -46,7 +45,7 @@ class CapExceededError(ValueError):
 
 
 def _placement_steps(
-    q: PartialOrder,
+    q: np.ndarray,
     p: LinearOrder,
     forced: tuple[CandidateId, CandidateId] | None = None,
 ) -> list[tuple[CandidateId, int, int, int]]:
@@ -55,7 +54,7 @@ def _placement_steps(
 
     ``preds`` holds the candidates committed above c in ``q`` and ``above``
     those ranked above c in ``p``.  At most ``DEFAULT_CAP`` = 8 candidates,
-    column c of ``q.mat`` packs into one byte, bit a set when a is committed
+    column c of ``q`` packs into one byte, bit a set when a is committed
     over c.  A ``forced`` pair ``(ck, cj)`` is folded in as the one bit "ck
     over cj" in cj's mask; placement order is itself transitive, so the walks
     yield the extensions of ``add_preference(q, ck, cj)``.  Raises
@@ -64,12 +63,12 @@ def _placement_steps(
     :class:`InconsistencyError`, as ``add_preference`` does, when the forced
     pair contradicts ``q``.
     """
-    m = q.m
+    m = len(q)
     if m > DEFAULT_CAP:
         raise CapExceededError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     if p.m != m:
         raise ValueError("rankings must cover the same candidates")
-    committed_above = np.packbits(q.mat, axis=0, bitorder="little")[0].tolist() if m else []
+    committed_above = np.packbits(q, axis=0, bitorder="little")[0].tolist() if m else []
     if forced is not None:
         ck, cj = forced
         if ck == cj:
@@ -88,7 +87,7 @@ def _placement_steps(
 
 
 def enumerate_extensions(
-    q: PartialOrder, p: LinearOrder
+    q: np.ndarray, p: LinearOrder
 ) -> list[tuple[tuple[CandidateId, ...], int]]:
     """Every linear extension of ``q`` with its swap distance from ``p``.
 
@@ -109,7 +108,7 @@ def enumerate_extensions(
     :class:`CapExceededError` above ``DEFAULT_CAP`` candidates.
     """
     steps = _placement_steps(q, p)
-    m = q.m
+    m = len(q)
     if m < 2:
         return [(tuple(range(m)), 0)]
     out: list[tuple[tuple[CandidateId, ...], int]] = []
@@ -130,7 +129,7 @@ def enumerate_extensions(
 
 def closest_extensions(
     p: LinearOrder,
-    q: PartialOrder,
+    q: np.ndarray,
     ck: CandidateId,
     cj: CandidateId,
 ) -> list[LinearOrder]:
@@ -151,7 +150,7 @@ def closest_extensions(
     """
     steps = _placement_steps(q, p, (ck, cj))
     steps = [steps[c] for c in p.ranking]
-    m = q.m
+    m = len(q)
     best = m * m  # above any swap distance
     closest: list[tuple[CandidateId, ...]] = []
 
@@ -178,7 +177,7 @@ def closest_extensions(
 
 def oracle_manipulation(
     p: LinearOrder,
-    q: PartialOrder,
+    q: np.ndarray,
     pw: Iterable[CandidateId],
     cj: CandidateId,
     ck: CandidateId,
@@ -190,7 +189,7 @@ def oracle_manipulation(
     there are none, reports no change.  Same contract and tie rule as
     :func:`iterborda.manipulation.find_manipulation`.
     """
-    if q.holds(cj, ck) or q.holds(ck, cj):
+    if q.item(cj, ck) or q.item(ck, cj):
         raise PreconditionViolationError(
             f"queried pair ({cj}, {ck}) is already committed"
         )
@@ -208,7 +207,7 @@ def oracle_manipulation(
 
 def random_instance(
     m: int, rng: random.Random
-) -> tuple[LinearOrder, PartialOrder, set[CandidateId], CandidateId, CandidateId]:
+) -> tuple[LinearOrder, np.ndarray, set[CandidateId], CandidateId, CandidateId]:
     """A random manipulation scenario (p, q, pw, cj, ck) with valid givens.
 
     The partial order is the :func:`prefs.close` of pairs sampled within

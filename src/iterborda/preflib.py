@@ -97,7 +97,8 @@ def serialize_soc(ds: Dataset) -> str:
 
 def load_soc(path: str | Path) -> Dataset:
     path = Path(path)
-    return parse_soc(path.read_text(encoding="utf-8"), name=path.stem)
+    # utf-8-sig drops the byte-order mark some editors save, and reads UTF-8 otherwise
+    return parse_soc(path.read_text(encoding="utf-8-sig"), name=path.stem)
 
 
 def bundled(name: str) -> Dataset:

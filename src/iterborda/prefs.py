@@ -1,7 +1,13 @@
-"""Preference primitives: strict total rankings and transitively closed partial orders.
+"""Preference primitives: strict total rankings and transitively closed relations.
 
 Candidates are dense integer ids ``0..m-1``.  The ascending id order doubles as
 the fixed lexicographic tie-break order used everywhere else in the package.
+
+A relation is an m x m bool ``np.ndarray`` ``q``, transitively closed,
+irreflexive and antisymmetric, with ``q[a, b]`` True when "a over b" has been
+committed, directly or by transitive inference.  Build one with :func:`close`
+and extend it with :func:`add_preference`; treat it as immutable, since
+callers share relations rather than copy them.
 """
 
 from __future__ import annotations
@@ -51,39 +57,7 @@ class LinearOrder:
         return f"LinearOrder({list(self.ranking)})"
 
 
-class PartialOrder:
-    """A transitively closed, irreflexive, antisymmetric precedence relation.
-
-    ``mat[a, b]`` is True when "a over b" has been committed, directly or by
-    transitive inference.  Construct via :func:`close` / :func:`add_preference`;
-    treat instances as immutable.
-    """
-
-    def __init__(self, m: int, mat: np.ndarray | None = None):
-        self.m = m
-        if mat is None:
-            mat = np.zeros((m, m), dtype=bool)
-        self.mat = mat
-
-    def holds(self, a: CandidateId, b: CandidateId) -> bool:
-        """True when the relation commits a over b."""
-        return bool(self.mat[a, b])
-
-    def pairs(self) -> set[tuple[CandidateId, CandidateId]]:
-        return {(int(a), int(b)) for a, b in np.argwhere(self.mat)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialOrder)
-            and self.m == other.m
-            and bool(np.array_equal(self.mat, other.mat))
-        )
-
-    def __repr__(self):
-        return f"PartialOrder(m={self.m}, pairs={sorted(self.pairs())})"
-
-
-def add_preference(q: PartialOrder, a: CandidateId, b: CandidateId) -> PartialOrder:
+def add_preference(q: np.ndarray, a: CandidateId, b: CandidateId) -> np.ndarray:
     """Return ``q`` extended with "a over b" and re-closed under transitivity.
 
     Raises :class:`InconsistencyError` if the opposite direction is already
@@ -92,20 +66,19 @@ def add_preference(q: PartialOrder, a: CandidateId, b: CandidateId) -> PartialOr
     """
     if a == b:
         raise InconsistencyError(f"candidate {a} cannot precede itself")
-    mat = q.mat
-    if mat.item(b, a):
+    if q.item(b, a):
         raise InconsistencyError(f"cannot add {a} over {b}: {b} over {a} already committed")
-    if mat.item(a, b):
+    if q.item(a, b):
         return q
     # Everything at-or-above a now precedes everything at-or-below b.
-    above_a = mat[:, a].copy()
+    above_a = q[:, a].copy()
     above_a[a] = True
-    below_b = mat[b, :].copy()
+    below_b = q[b, :].copy()
     below_b[b] = True
-    return PartialOrder(q.m, mat | (above_a[:, None] & below_b))
+    return q | (above_a[:, None] & below_b)
 
 
-def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> PartialOrder:
+def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> np.ndarray:
     """Transitive closure of a set of precedence pairs over candidates 0..m-1.
 
     Warshall's algorithm (1962) on Python-int row masks, ``below[a]`` holding
@@ -143,16 +116,17 @@ def close(raw_pairs: Iterable[tuple[CandidateId, CandidateId]], m: int) -> Parti
         count=m * m,
         bitorder="little",
     )
-    return PartialOrder(m, bits.reshape(m, m).view(bool))
+    return bits.reshape(m, m).view(bool)
 
 
-def unresolved_pairs(q: PartialOrder) -> list[tuple[CandidateId, CandidateId]]:
+def unresolved_pairs(q: np.ndarray) -> list[tuple[CandidateId, CandidateId]]:
     """All candidate pairs (a < b) of ``q`` with neither direction committed."""
-    rows = q.mat.tolist()
+    rows = q.tolist()
+    m = len(rows)
     return [
         (a, b)
-        for a in range(q.m)
-        for b in range(a + 1, q.m)
+        for a in range(m)
+        for b in range(a + 1, m)
         if not rows[a][b] and not rows[b][a]
     ]
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from typing import Collection
 
+import numpy as np
+
 from .manipulation import PreconditionViolationError, find_manipulation
 # add_preference is unused here; it stays bound because perfbench/tracer.py patches it by name
-from .prefs import CandidateId, LinearOrder, PartialOrder, add_preference  # noqa: F401
+from .prefs import CandidateId, LinearOrder, add_preference  # noqa: F401
 
 TRUTHFUL = "truthful"
 MANIPULATIVE = "manipulative"
@@ -36,7 +38,7 @@ class VoterState:
         self,
         cj: CandidateId,
         ck: CandidateId,
-        q: PartialOrder,
+        q: np.ndarray,
         pw: Collection[CandidateId],
     ) -> tuple[tuple[CandidateId, CandidateId], LinearOrder | None]:
         """Answer a pairwise query, possibly rewriting the current ranking.
@@ -56,7 +58,7 @@ class VoterState:
             if outcome.changed:
                 self.p_current = outcome.new_order
                 return (other, preferred), outcome.new_order
-        elif q.mat.item(cj, ck) or q.mat.item(ck, cj):
+        elif q.item(cj, ck) or q.item(ck, cj):
             raise PreconditionViolationError(
                 f"query ({cj}, {ck}) already resolved for this voter"
             )

@@ -1,10 +1,10 @@
 """From-scratch references the tests compare the center against (a
 Floyd-Warshall closure of pair sets and the list-walk query selector among
 them), the one check and the one view of a ``CenterState``'s private caches,
-linear extensions as rankings and their Borda scores, the possible and
-necessary winners read off a summed matrix by their thresholds, the relations
-the tests draw (all closed ones on m candidates, or random ones, built with
-``prefs.close``) and a script loader."""
+a relation's committed pairs, linear extensions as rankings and their Borda
+scores, the possible and necessary winners read off a summed matrix by their
+thresholds, the relations the tests draw (all closed ones on m candidates, or
+random ones, built with ``prefs.close``) and a script loader."""
 
 import importlib.util
 import itertools
@@ -21,7 +21,7 @@ from iterborda.borda import (
 )
 from iterborda.center import ES, NoQueriesLeftError, Query
 from iterborda.oracle import enumerate_extensions
-from iterborda.prefs import CandidateId, LinearOrder, PartialOrder, close
+from iterborda.prefs import CandidateId, LinearOrder, close
 
 
 def floyd_warshall(pairs, m):
@@ -80,10 +80,10 @@ def unresolved(state):
     ]
 
 
-def reference_mid_total(qs: Sequence[PartialOrder]) -> np.ndarray:
+def reference_mid_total(qs: Sequence[np.ndarray]) -> np.ndarray:
     """Summed sigma_min + sigma_max, counted from the boolean relations."""
-    m = qs[0].m
-    return sum(1 + q.mat.sum(axis=1) + m - q.mat.sum(axis=0) for q in qs)
+    m = len(qs[0])
+    return sum(1 + q.sum(axis=1) + m - q.sum(axis=0) for q in qs)
 
 
 def assert_caches_match(state) -> None:
@@ -102,9 +102,9 @@ def assert_caches_match(state) -> None:
     assert np.array_equal(state._total[-1], reference_mid_total(qs))
     total = state._total[:-1]
     # row k of the open and safe masks is the k-th pair (a < b) in lexicographic order
-    first, second = np.triu_indices(qs[0].m, 1)
+    first, second = np.triu_indices(len(qs[0]), 1)
     assert np.array_equal(state._first, first) and np.array_equal(state._second, second)
-    open_mask = np.stack([~(q.mat | q.mat.T)[first, second] for q in qs], axis=1)
+    open_mask = np.stack([~(q | q.T)[first, second] for q in qs], axis=1)
     assert np.array_equal(state._open, open_mask)
     is_pw = possible_winners_from_total(total)
     assert state.pw_cache == set(np.flatnonzero(is_pw).tolist())
@@ -113,11 +113,11 @@ def assert_caches_match(state) -> None:
     assert state.necessary_winner() == necessary_winner_from_total(total)
 
 
-def _summed_diffs(qs: Sequence[PartialOrder]) -> np.ndarray:
+def _summed_diffs(qs: Sequence[np.ndarray]) -> np.ndarray:
     return sum(pair_diff_matrix(q, score_bounds_vectors(q)) for q in qs)
 
 
-def possible_winners(qs: Sequence[PartialOrder]) -> set[CandidateId]:
+def possible_winners(qs: Sequence[np.ndarray]) -> set[CandidateId]:
     """Candidates that can still win: for every rival there is a completion of
     each voter's relation in which the candidate at least ties (beats, when the
     rival wins the tie-break).
@@ -127,7 +127,7 @@ def possible_winners(qs: Sequence[PartialOrder]) -> set[CandidateId]:
     return set(np.flatnonzero(possible_winners_from_total(_summed_diffs(qs))).tolist())
 
 
-def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:
+def necessary_winner(qs: Sequence[np.ndarray]) -> CandidateId | None:
     """The candidate that wins under every joint completion, if already decided.
 
     Exact: per-voter score-difference minima are achieved independently, so the
@@ -136,23 +136,28 @@ def necessary_winner(qs: Sequence[PartialOrder]) -> CandidateId | None:
     return necessary_winner_from_total(_summed_diffs(qs))
 
 
-def is_extension(p: LinearOrder, q: PartialOrder) -> bool:
+def pairs(q: np.ndarray) -> set[tuple[CandidateId, CandidateId]]:
+    """The committed pairs (a, b), "a over b", of the relation ``q``."""
+    return {(int(a), int(b)) for a, b in np.argwhere(q)}
+
+
+def is_extension(p: LinearOrder, q: np.ndarray) -> bool:
     """True when every committed pair of ``q`` agrees with the ranking ``p``."""
-    if p.m != q.m:
+    if p.m != len(q):
         raise ValueError("order and relation must cover the same candidates")
     ranks = np.asarray(p.rank_of)
-    return not bool(np.any(q.mat & (ranks[:, None] > ranks[None, :])))
+    return not bool(np.any(q & (ranks[:, None] > ranks[None, :])))
 
 
-def linear_extensions(q: PartialOrder) -> list[LinearOrder]:
+def linear_extensions(q: np.ndarray) -> list[LinearOrder]:
     """Every linear extension of ``q`` as a ranking, in lexicographic order."""
-    return [LinearOrder(r) for r, _ in enumerate_extensions(q, LinearOrder(range(q.m)))]
+    return [LinearOrder(r) for r, _ in enumerate_extensions(q, LinearOrder(range(len(q))))]
 
 
-def extension_scores(q: PartialOrder) -> np.ndarray:
+def extension_scores(q: np.ndarray) -> np.ndarray:
     """The Borda scores of every linear extension of ``q``: one row per
     extension, in ``linear_extensions`` order, one column per candidate."""
-    return q.m - np.array([e.rank_of for e in linear_extensions(q)])
+    return len(q) - np.array([e.rank_of for e in linear_extensions(q)])
 
 
 def threshold_winners(total) -> tuple[frozenset[CandidateId], CandidateId | None]:
@@ -172,7 +177,7 @@ def threshold_winners(total) -> tuple[frozenset[CandidateId], CandidateId | None
     return pw, (sure[0] if sure else None)
 
 
-def joint_winner_set(qs: Sequence[PartialOrder]) -> set[CandidateId]:
+def joint_winner_set(qs: Sequence[np.ndarray]) -> set[CandidateId]:
     """Winners over every joint completion (exact possible-winner set)."""
     return {
         borda_winner(list(combo))
@@ -180,7 +185,7 @@ def joint_winner_set(qs: Sequence[PartialOrder]) -> set[CandidateId]:
     }
 
 
-def all_closed_relations(m: int) -> list[PartialOrder]:
+def all_closed_relations(m: int) -> list[np.ndarray]:
     """Every transitively closed strict partial order over m candidates."""
     cells = [(a, b) for a in range(m) for b in range(m) if a != b]
     out = []
@@ -193,13 +198,13 @@ def all_closed_relations(m: int) -> list[PartialOrder]:
     return out
 
 
-def relation_within(p: LinearOrder, rng) -> PartialOrder:
+def relation_within(p: LinearOrder, rng) -> np.ndarray:
     """The closure of a random subset of the pairs the ranking ``p`` orders."""
     pairs = [(a, b) for a in range(p.m) for b in range(p.m) if p.prefers(a, b)]
     return close(rng.sample(pairs, rng.randrange(len(pairs) + 1)), p.m)
 
 
-def random_relation(m: int, rng) -> PartialOrder:
+def random_relation(m: int, rng) -> np.ndarray:
     """The closure of a random subset of the pairs of a random ranking."""
     return relation_within(LinearOrder(rng.sample(range(m), m)), rng)
 

@@ -37,7 +37,7 @@ from iterborda.preflib import bundled, sample_profiles
 from iterborda.prefs import LinearOrder, unresolved_pairs
 from iterborda.voter import MANIPULATIVE, TRUTHFUL
 
-from center_helpers import all_closed_relations, extension_scores, linear_extensions
+from center_helpers import all_closed_relations, extension_scores, linear_extensions, pairs
 
 RANDOM_INSTANCES_PER_M = 10_000  # criterion 1, at m=5 and at m=6
 SCORE_BOUND_INSTANCES = 12_000  # criterion 4, m in 3..6
@@ -61,11 +61,11 @@ def _check_instance(p, q, pw, cj, ck, failures, safe_failures):
     fast = find_manipulation(p, q, pw, cj, ck)
     slow = oracle_manipulation(p, q, pw, cj, ck)
     if fast != slow:
-        failures.append((list(p.ranking), sorted(q.pairs()), sorted(pw), (cj, ck),
+        failures.append((list(p.ranking), sorted(pairs(q)), sorted(pw), (cj, ck),
                          (fast.changed, fast.distance, list(fast.new_order.ranking)),
                          (slow.changed, slow.distance, list(slow.new_order.ranking))))
     if cj in pw and ck in pw and fast.changed:
-        safe_failures.append((list(p.ranking), sorted(q.pairs()), sorted(pw), (cj, ck)))
+        safe_failures.append((list(p.ranking), sorted(pairs(q)), sorted(pw), (cj, ck)))
 
 
 @pytest.fixture(scope="module")

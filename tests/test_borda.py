@@ -12,12 +12,13 @@ from iterborda.borda import (
     possible_winners_from_total,
     score_bounds_vectors,
 )
-from iterborda.prefs import LinearOrder, PartialOrder, close, unresolved_pairs
+from iterborda.prefs import LinearOrder, close, unresolved_pairs
 
 from center_helpers import (
     extension_scores,
     joint_winner_set,
     necessary_winner,
+    pairs,
     possible_winners,
     random_relation,
     threshold_winners,
@@ -38,10 +39,9 @@ def max_pair_diff(q, c, c2):
     """
     if c == c2:
         raise ValueError("candidates must differ")
-    mat = q.mat
-    if mat[c2, c]:
-        return -(1 + int(np.count_nonzero(mat[c2, :] & mat[:, c])))
-    free = ~mat[:, c] & ~mat[c2, :]
+    if q[c2, c]:
+        return -(1 + int(np.count_nonzero(q[c2, :] & q[:, c])))
+    free = ~q[:, c] & ~q[c2, :]
     free[c] = free[c2] = False
     return 1 + int(np.count_nonzero(free))
 
@@ -68,7 +68,7 @@ class TestBordaWinner:
 
 class TestScoreBounds:
     def test_fully_unknown(self):
-        lo, hi = score_bounds_vectors(PartialOrder(5))
+        lo, hi = score_bounds_vectors(close((), 5))
         assert lo.tolist() == [1] * 5
         assert hi.tolist() == [5] * 5
 
@@ -89,8 +89,8 @@ class TestScoreBounds:
         for m in list(range(2, 31)) * 3:
             q = random_relation(m, rng)
             lo, hi = score_bounds_vectors(q)
-            assert lo.tolist() == (1 + q.mat.sum(axis=1)).tolist()
-            assert hi.tolist() == (m - q.mat.sum(axis=0)).tolist()
+            assert lo.tolist() == (1 + q.sum(axis=1)).tolist()
+            assert hi.tolist() == (m - q.sum(axis=0)).tolist()
 
     def test_bounds_always_ordered_and_in_range(self):
         rng = random.Random(11)
@@ -107,7 +107,7 @@ class TestScoreBounds:
 
 class TestPairDiffs:
     def test_empty_relation(self):
-        q = PartialOrder(4)
+        q = close((), 4)
         assert max_pair_diff(q, 0, 1) == 3
         assert min_pair_diff(q, 0, 1) == -3
 
@@ -119,7 +119,7 @@ class TestPairDiffs:
 
     def test_same_candidate_rejected(self):
         with pytest.raises(ValueError):
-            max_pair_diff(PartialOrder(3), 1, 1)
+            max_pair_diff(close((), 3), 1, 1)
 
     def test_matches_brute_force_on_random_relations(self):
         rng = random.Random(5)
@@ -171,7 +171,7 @@ class TestWinnersFromTotal:
 
 class TestPossibleWinners:
     def test_everything_open(self):
-        assert possible_winners([PartialOrder(3)]) == {0, 1, 2}
+        assert possible_winners([close((), 3)]) == {0, 1, 2}
 
     def test_complete_information(self):
         orders = [lin(0, 1, 2), lin(2, 1, 0), lin(1, 2, 0)]
@@ -207,7 +207,7 @@ class TestPossibleWinners:
             m = rng.randint(2, 5)
             n = rng.randint(1, 3)
             orders = [LinearOrder(rng.sample(range(m), m)) for _ in range(n)]
-            qs = [PartialOrder(m) for _ in range(n)]
+            qs = [close((), m) for _ in range(n)]
             previous = possible_winners(qs)
             for _ in range(6):
                 v = rng.randrange(n)
@@ -217,7 +217,7 @@ class TestPossibleWinners:
                 a, b = rng.choice(open_pairs)
                 if not orders[v].prefers(a, b):
                     a, b = b, a
-                qs[v] = close(qs[v].pairs() | {(a, b)}, m)
+                qs[v] = close(pairs(qs[v]) | {(a, b)}, m)
                 current = possible_winners(qs)
                 assert current <= previous
                 previous = current
@@ -231,7 +231,7 @@ class TestNecessaryWinner:
         assert necessary_winner(qs) == borda_winner(orders)
 
     def test_open_election_has_none(self):
-        assert necessary_winner([PartialOrder(3), PartialOrder(3)]) is None
+        assert necessary_winner([close((), 3), close((), 3)]) is None
 
     def test_agrees_with_joint_enumeration(self):
         rng = random.Random(19)

@@ -71,7 +71,9 @@ class CenterCaches(RuleBasedStateMachine):
     @rule()
     def copy(self):
         # carry on with a copy; the invariants check both from here on
-        self.originals.append((self.state, list(self.state.qs), self.state.pw_cache))
+        self.originals.append(
+            (self.state, [q.tobytes() for q in self.state.qs], self.state.pw_cache)
+        )
         self.state = self.state.copy()
 
     @precondition(lambda self: unresolved(self.state))
@@ -95,7 +97,7 @@ class CenterCaches(RuleBasedStateMachine):
     def caches_match_recomputation(self):
         assert_caches_match(self.state)
         for original, qs, pw in self.originals:
-            assert original.qs == qs and original.pw_cache == pw
+            assert [q.tobytes() for q in original.qs] == qs and original.pw_cache == pw
             assert_caches_match(original)
 
     @invariant()

@@ -77,6 +77,8 @@ class TestExperiment:
             "dataset x\n",
             "colour = red\n",
             "dataset = x\nvoter_counts = 4, 4\n",
+            "dataset = x\nvoter_counts = 4, y\n",
+            "dataset = x\nworkers = 2 # two\n",
         ],
     )
     def test_malformed_config_errors(self, tmp_path, capsys, text):

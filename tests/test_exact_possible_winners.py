@@ -96,13 +96,13 @@ def _exact_possible_winners(qs, memo):
     """
     rank_sets = []
     for q in qs:
-        key = q.mat.tobytes()
+        key = q.tobytes()
         if key not in memo:
             # argsort inverts each ranking tuple into its rank_of row
-            rankings = [r for r, _ in enumerate_extensions(q, LinearOrder(range(q.m)))]
+            rankings = [r for r, _ in enumerate_extensions(q, LinearOrder(range(len(q))))]
             memo[key] = np.argsort(np.array(rankings, dtype=np.int64), axis=1)
         rank_sets.append(memo[key])
-    return {c for c in range(qs[0].m) if _can_win(rank_sets, c)}
+    return {c for c in range(len(qs[0])) if _can_win(rank_sets, c)}
 
 
 def test_oracle_matches_joint_enumeration():

@@ -10,6 +10,7 @@ from iterborda.experiment import (
     RunRecord,
     SummaryRow,
     derive_seed,
+    load_config,
     parse_config,
     run_experiment,
     summarize,
@@ -92,6 +93,41 @@ class TestConfig:
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="config line 2: key 'dataset' given twice"):
             parse_config("dataset = a.soc\ndataset = b.soc\nworkers = 1\nworkers = 3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "dataset = d\n# comment\nworkers = 2 # two\n",
+                "config line 3: workers must be an integer, got '2 # two'",
+            ),
+            (
+                "dataset = d\nvoter_counts = 4, five, 6\n",
+                "config line 2: voter_counts must list integers, got 'five'",
+            ),
+            (
+                "profile_sets = x\ndataset = d\n",
+                "config line 1: profile_sets must be an integer, got 'x'",
+            ),
+            (
+                "dataset = d\nreps_per_set = 1.5\n",
+                "config line 2: reps_per_set must be an integer, got '1.5'",
+            ),
+            ("dataset = d\nbase_seed =\n", "config line 2: base_seed must be an integer, got ''"),
+        ],
+        ids=["workers", "voter_counts", "profile_sets", "reps_per_set", "base_seed"],
+    )
+    def test_unparsable_integer_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == message
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "dataset = d.soc\nvoter_counts = 4, 5\nworkers = 2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_config(marked) == load_config(plain) == parse_config(text)
 
     def test_policy_pairs_become_policies(self):
         # the benchmark still passes (selector, careful) pairs

@@ -17,7 +17,6 @@ from iterborda.manipulation import (
 from iterborda.oracle import oracle_manipulation, random_instance
 from iterborda.prefs import (
     LinearOrder,
-    PartialOrder,
     add_preference,
     close,
     swap_distance,
@@ -46,7 +45,7 @@ def reference_precheck(p, pw_ordered, cj, ck):
 def reference_find_manipulation(p, q, pw, cj, ck):
     """Pivot-by-pivot form of ``find_manipulation``: builds every pivot's
     rewrite as a ranking and measures it with ``swap_distance``, O(m^3) a call."""
-    if q.holds(cj, ck) or q.holds(ck, cj):
+    if q.item(cj, ck) or q.item(ck, cj):
         raise PreconditionViolationError(f"queried pair ({cj}, {ck}) is already committed")
     if not p.prefers(cj, ck):
         raise PreconditionViolationError(f"voter does not rank {cj} above {ck}")
@@ -54,8 +53,8 @@ def reference_find_manipulation(p, q, pw, cj, ck):
     if not reference_precheck(p, pw_ordered, cj, ck):
         return ManipulationOutcome(False, p, 0)
 
-    committed_below_cj = {int(c) for c in np.flatnonzero(q.mat[cj])} | {cj}
-    committed_above_ck = {int(c) for c in np.flatnonzero(q.mat[:, ck])} | {ck}
+    committed_below_cj = {int(c) for c in np.flatnonzero(q[cj])} | {cj}
+    committed_above_ck = {int(c) for c in np.flatnonzero(q[:, ck])} | {ck}
 
     d_abs = None
     d_loc = None
@@ -176,18 +175,18 @@ class TestPrecheck:
 
 class TestFindManipulation:
     def test_toy_example(self):
-        out = find_manipulation(TOY_P, PartialOrder(3), TOY_PW, 0, 1)
+        out = find_manipulation(TOY_P, close((), 3), TOY_PW, 0, 1)
         assert out == ManipulationOutcome(True, LinearOrder([1, 0, 2]), 1)
 
     def test_safe_query_unchanged(self):
-        out = find_manipulation(TOY_P, PartialOrder(3), TOY_PW, 1, 2)
+        out = find_manipulation(TOY_P, close((), 3), TOY_PW, 1, 2)
         assert not out.changed
         assert out.new_order == TOY_P
         assert out.distance == 0
 
     def test_failed_precheck_unchanged(self):
         p = LinearOrder([0, 1, 2, 3])
-        out = find_manipulation(p, PartialOrder(4), {0, 3}, 1, 2)
+        out = find_manipulation(p, close((), 4), {0, 3}, 1, 2)
         assert not out.changed
 
     def test_committed_pair_rejected(self):
@@ -199,9 +198,9 @@ class TestFindManipulation:
 
     def test_wrong_orientation_rejected(self):
         with pytest.raises(PreconditionViolationError):
-            find_manipulation(TOY_P, PartialOrder(3), TOY_PW, 2, 0)
+            find_manipulation(TOY_P, close((), 3), TOY_PW, 2, 0)
         with pytest.raises(ValueError, match="possible-winner set must be nonempty"):
-            find_manipulation(TOY_P, PartialOrder(3), set(), 0, 2)
+            find_manipulation(TOY_P, close((), 3), set(), 0, 2)
 
     def test_commitments_shape_the_rewrite(self):
         # 1 is committed above 2: pushing 0 below 1 must keep 1 above 2

@@ -87,6 +87,14 @@ class TestRoundTrip:
         assert ds2.metadata == ds.metadata
         assert serialize_soc(ds2) == text
 
+    def test_load_ignores_byte_order_mark(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "marked").mkdir()
+        (tmp_path / "plain" / "sample.soc").write_text(SAMPLE, encoding="utf-8")
+        (tmp_path / "marked" / "sample.soc").write_text("\ufeff" + SAMPLE, encoding="utf-8")
+        marked = load_soc(tmp_path / "marked" / "sample.soc")
+        assert marked == load_soc(tmp_path / "plain" / "sample.soc") == parse_soc(SAMPLE, "sample")
+
     def test_load_uses_stem_as_name(self, tmp_path):
         path = tmp_path / "sample.soc"
         path.write_text(SAMPLE, encoding="utf-8")

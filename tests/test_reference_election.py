@@ -13,17 +13,17 @@ import numpy as np
 
 from iterborda.center import POLICIES, run_election
 from iterborda.oracle import oracle_manipulation
-from iterborda.prefs import LinearOrder, PartialOrder
+from iterborda.prefs import LinearOrder
 from iterborda.voter import MANIPULATIVE, TRUTHFUL
 
 from center_helpers import extension_scores, floyd_warshall, reference_select, threshold_winners
 
 
 def relation(pairs, m):
-    mat = np.zeros((m, m), dtype=bool)
+    q = np.zeros((m, m), dtype=bool)
     for a, b in pairs:
-        mat[a, b] = True
-    return PartialOrder(m, mat)
+        q[a, b] = True
+    return q
 
 
 def extremes(pairs, m):
