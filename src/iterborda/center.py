@@ -60,6 +60,8 @@ class Policy:
     def __post_init__(self):
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}, got {self.selector!r}")
+        if not isinstance(self.careful, bool):
+            raise ValueError(f"careful must be a bool, got {self.careful!r}")
 
     @property
     def name(self) -> str:

@@ -47,26 +47,28 @@ class ExperimentConfig:
     def __post_init__(self):
         # perfbench/ still passes (selector, careful) pairs; delete once it passes POLICIES
         self.policies = [p if isinstance(p, Policy) else Policy(*p) for p in self.policies]
-        if self.profile_sets < 1 or self.reps_per_set < 1:
-            raise ValueError("profile_sets and reps_per_set must be >= 1")
-        if any(n < 1 for n in self.voter_counts):
-            raise ValueError("voter counts must be >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        for b in self.behaviors:
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
+
+
+def _check_field(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is valid for the config field ``name``."""
+    if name in ("profile_sets", "reps_per_set", "workers") and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if name == "voter_counts" and any(n < 1 for n in value):
+        raise ValueError("voter counts must be >= 1")
+    if name == "behaviors":
+        for b in value:
             if b not in BEHAVIORS:
                 raise ValueError(f"unknown behavior {b!r}")
-        # an empty coordinate list runs nothing; a repeated one reruns identical elections
-        for name, values in (
-            ("voter_counts", self.voter_counts),
-            ("policies", [p.name for p in self.policies]),
-            ("behaviors", self.behaviors),
-        ):
-            if not values:
-                raise ValueError(f"{name} must not be empty")
-            repeated = list(dict.fromkeys(v for i, v in enumerate(values) if v in values[:i]))
-            if repeated:
-                raise ValueError(f"{name} lists {repeated} more than once")
+    # an empty coordinate list runs nothing; a repeated one reruns identical elections
+    if name in ("voter_counts", "policies", "behaviors"):
+        values = [p.name for p in value] if name == "policies" else value
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+        repeated = list(dict.fromkeys(v for i, v in enumerate(values) if v in values[:i]))
+        if repeated:
+            raise ValueError(f"{name} lists {repeated} more than once")
 
 
 @dataclass(frozen=True, order=True)
@@ -135,30 +137,30 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError("config is missing required key 'dataset'")
 
     def integer(key: str, token: str) -> int:
-        """``token``, read from ``key``'s value, as an int; an error names the line."""
+        """``token``, read from ``key``'s value, as an int."""
         try:
             return int(token)
         except ValueError:
             must = "list integers" if key == "voter_counts" else "be an integer"
-            raise ValueError(
-                f"config line {line_of[key]}: {key} must {must}, got {token.strip()!r}"
-            ) from None
+            raise ValueError(f"{key} must {must}, got {token.strip()!r}") from None
 
-    kwargs: dict = {"dataset": raw["dataset"]}
-    if "voter_counts" in raw:
-        tokens = raw["voter_counts"].split(",")
-        kwargs["voter_counts"] = [integer("voter_counts", tok) for tok in tokens]
-    if "policies" in raw:
-        names = raw["policies"].split(",")
-        kwargs["policies"] = [Policy.parse(tok.strip().lower()) for tok in names]
-    if "behaviors" in raw:
-        kwargs["behaviors"] = [tok.strip().lower() for tok in raw["behaviors"].split(",")]
-    for key in ("profile_sets", "reps_per_set", "base_seed", "workers"):
-        if key in raw:
-            kwargs[key] = integer(key, raw[key])
-    if "output" in raw:
-        kwargs["output"] = raw["output"]
-    return ExperimentConfig(**kwargs)
+    def read(key: str, value: str):
+        """``key``'s value, converted and checked; an error names the line."""
+        try:
+            if key == "voter_counts":
+                value = [integer(key, tok) for tok in value.split(",")]
+            elif key == "policies":
+                value = [Policy.parse(tok.strip().lower()) for tok in value.split(",")]
+            elif key == "behaviors":
+                value = [tok.strip().lower() for tok in value.split(",")]
+            elif key in ("profile_sets", "reps_per_set", "base_seed", "workers"):
+                value = integer(key, value)
+            _check_field(key, value)
+        except ValueError as exc:
+            raise ValueError(f"config line {line_of[key]}: {exc}") from None
+        return value
+
+    return ExperimentConfig(**{key: read(key, value) for key, value in raw.items()})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

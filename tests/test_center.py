@@ -91,6 +91,11 @@ class TestPolicy:
         for name in ("es", "random", "careful-es", "careful-random"):
             assert repr(name) in str(excinfo.value)
 
+    def test_careful_must_be_bool(self):
+        for careful in (1, "no", None):
+            with pytest.raises(ValueError, match="careful must be a bool"):
+                Policy(ES, careful)
+
 
 class TestIsSafe:
     def test_both_in(self):

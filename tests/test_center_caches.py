@@ -1,25 +1,26 @@
-"""Stateful check of the voting center's incremental caches.
+"""Seeded walks that hold the voting center's incremental caches to recomputation.
 
-A hypothesis state machine feeds a ``CenterState`` random consistent answers
-and, after every step, runs ``assert_caches_match``.  It stays at m <= 7;
-feeding the recorded answers of manipulative elections at m = 30 to a fresh
-center runs the same check at every round and on each fork.  A rule swaps in
-``CenterState.copy()`` and keeps the original, whose relations, possible
-winners and caches must not move as the copy answers on.  The machine is the
-unit suite's check of query selection: from the same RNG state, every
-policy must pick what the list-walk selector ``reference_select`` picks,
-rebuilding the pool from scratch every time, and leave the RNG in the same
-state (one ``randrange`` over the same pool size).
+Two walks, each from its own seed, start a ``CenterState`` at every n <= 4
+and m <= 7 and take 30 steps, each one rule that applies: reseed the draw
+RNG, carry on with a ``copy()``, or answer, in a random direction, the
+query a random policy selects or any open query.  After every step a walk
+runs ``assert_caches_match`` on the state and on every state a copy was
+taken from, whose relations and possible winners must not have moved as the
+copy answered on.  Feeding the recorded answers of manipulative elections
+at m = 30 to a fresh center runs the same check at every round and on each
+fork.  The walk is also the unit suite's check of query selection: from the
+same RNG state, every policy must pick what the list-walk selector
+``reference_select`` picks, rebuilding the pool from scratch every time,
+and leave the RNG in the same state (one ``randrange`` over the same pool
+size).
 """
 
+import itertools
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, settings
-from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from iterborda.center import (
     ES,
@@ -56,72 +57,55 @@ def cloned(rng):
     return twin
 
 
-class CenterCaches(RuleBasedStateMachine):
-    @initialize(n=st.integers(1, 4), m=st.integers(2, 7), seed=st.integers(0, 2**32))
-    def start(self, n, m, seed):
-        self.state = CenterState(n, m)
-        self.rng = random.Random(seed)
+def assert_walk_invariants(state, originals, rng):
+    """The caches of ``state`` and of every state a copy was taken from match
+    recomputation, and every policy selects what the list walk selects."""
+    assert_caches_match(state)
+    for original, qs, pw in originals:
+        assert [q.tobytes() for q in original.qs] == qs and original.pw_cache == pw
+        assert_caches_match(original)
+    for policy in POLICIES:
+        draw = random.Random(rng.random())
+        twin = cloned(draw)
+        try:
+            expected = select_from_scratch(state.qs, policy, twin)
+        except NoQueriesLeftError:
+            expected = NoQueriesLeftError
+        try:
+            got = state.select_query(policy, draw)
+        except NoQueriesLeftError:
+            got = NoQueriesLeftError
+        assert got == expected
+        assert draw.getstate() == twin.getstate()
+
+
+def test_seeded_walks_match_recomputation():
+    answers = 0
+    for n, m, walk in itertools.product(range(1, 5), range(2, 8), range(2)):
+        steps = random.Random(100 * n + 10 * m + walk)
+        state = CenterState(n, m)
+        rng = random.Random(steps.getrandbits(32))
         # each state a copy was taken from, with its relations and possible winners then
-        self.originals = []
-
-    @rule(seed=st.integers(0, 2**32))
-    def reseed(self, seed):
-        self.rng = random.Random(seed)
-
-    @rule()
-    def copy(self):
-        # carry on with a copy; the invariants check both from here on
-        self.originals.append(
-            (self.state, [q.tobytes() for q in self.state.qs], self.state.pw_cache)
-        )
-        self.state = self.state.copy()
-
-    @precondition(lambda self: unresolved(self.state))
-    @rule(policy=st.sampled_from(POLICIES), flip=st.booleans())
-    def answer_selected_query(self, policy, flip):
-        query = self.state.select_query(policy, self.rng)
-        self._answer(query, flip)
-
-    @precondition(lambda self: unresolved(self.state))
-    @rule(data=st.data(), flip=st.booleans())
-    def answer_any_open_query(self, data, flip):
-        query = data.draw(st.sampled_from(unresolved(self.state)))
-        self._answer(query, flip)
-
-    def _answer(self, query, flip):
-        # either direction of an open pair is consistent with a closed relation
-        answer = (query.ck, query.cj) if flip else (query.cj, query.ck)
-        self.state.apply_response(query, answer)
-
-    @invariant()
-    def caches_match_recomputation(self):
-        assert_caches_match(self.state)
-        for original, qs, pw in self.originals:
-            assert [q.tobytes() for q in original.qs] == qs and original.pw_cache == pw
-            assert_caches_match(original)
-
-    @invariant()
-    def selection_matches_list_walk(self):
-        for policy in POLICIES:
-            rng = random.Random(self.rng.random())
-            twin = cloned(rng)
-            try:
-                expected = select_from_scratch(self.state.qs, policy, twin)
-            except NoQueriesLeftError:
-                expected = NoQueriesLeftError
-            try:
-                got = self.state.select_query(policy, rng)
-            except NoQueriesLeftError:
-                got = NoQueriesLeftError
-            assert got == expected
-            assert rng.getstate() == twin.getstate()
-
-
-# no shrink phase: shrinking a failing run took 60-110 s
-CenterCaches.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None, phases=set(Phase) - {Phase.shrink}
-)
-TestCenterCaches = CenterCaches.TestCase
+        originals = []
+        for _ in range(30):
+            open_queries = unresolved(state)
+            rule = steps.choice(["reseed", "copy"] + ["selected", "any"] * bool(open_queries))
+            if rule == "reseed":
+                rng = random.Random(steps.getrandbits(32))
+            elif rule == "copy":
+                originals.append((state, [q.tobytes() for q in state.qs], state.pw_cache))
+                state = state.copy()
+            else:
+                if rule == "selected":
+                    query = state.select_query(steps.choice(POLICIES), rng)
+                else:
+                    query = steps.choice(open_queries)
+                # either direction of an open pair is consistent with a closed relation
+                answer = (query.ck, query.cj) if steps.random() < 0.5 else (query.cj, query.ck)
+                state.apply_response(query, answer)
+                answers += 1
+            assert_walk_invariants(state, originals, rng)
+    assert answers >= 300
 
 
 @pytest.mark.parametrize("policy", [Policy(ES), Policy(ES, careful=True)], ids=lambda p: p.name)

@@ -79,6 +79,9 @@ class TestExperiment:
             "dataset = x\nvoter_counts = 4, 4\n",
             "dataset = x\nvoter_counts = 4, y\n",
             "dataset = x\nworkers = 2 # two\n",
+            "dataset = x\nprofile_sets = 0\n",
+            "dataset = x\nbehaviors = psychic\n",
+            "dataset = x\npolicies = greedy\n",
         ],
     )
     def test_malformed_config_errors(self, tmp_path, capsys, text):

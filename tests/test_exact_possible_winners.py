@@ -27,12 +27,10 @@ import numpy as np
 from iterborda.center import CenterState, Policy, run_election
 from iterborda.experiment import derive_seed
 from iterborda.manipulation import find_manipulation
-from iterborda.oracle import enumerate_extensions
 from iterborda.preflib import bundled, sample_profiles
-from iterborda.prefs import LinearOrder
 from iterborda.voter import MANIPULATIVE
 
-from center_helpers import joint_winner_set, random_relation
+from center_helpers import extension_scores, joint_winner_set, random_relation
 
 TRACE_ELECTIONS = 8
 
@@ -61,11 +59,11 @@ def _pareto(vecs):
     return vecs[~covers.any(axis=1)]
 
 
-def _can_win(rank_sets, c):
-    m = rank_sets[0].shape[1]
+def _can_win(score_sets, c):
+    m = score_sets[0].shape[1]
     rivals = [x for x in range(m) if x != c]
     need = np.array([1 if x < c else 0 for x in rivals])
-    gains = [ranks[:, rivals] - ranks[:, [c]] for ranks in rank_sets]
+    gains = [scores[:, [c]] - scores[:, rivals] for scores in score_sets]
     lo = np.array([g.min(axis=0) for g in gains])
     if np.any(sum(g.max(axis=0) for g in gains) < need):
         return False
@@ -91,18 +89,16 @@ def _can_win(rank_sets, c):
 def _exact_possible_winners(qs, memo):
     """Exact possible-winner set of the relations ``qs``.
 
-    ``memo`` maps a relation's bytes to the rank rows of its linear
+    ``memo`` maps a relation's bytes to the Borda scores of its linear
     extensions; pass the same dict across the rounds of one election.
     """
-    rank_sets = []
+    score_sets = []
     for q in qs:
         key = q.tobytes()
         if key not in memo:
-            # argsort inverts each ranking tuple into its rank_of row
-            rankings = [r for r, _ in enumerate_extensions(q, LinearOrder(range(len(q))))]
-            memo[key] = np.argsort(np.array(rankings, dtype=np.int64), axis=1)
-        rank_sets.append(memo[key])
-    return {c for c in range(len(qs[0])) if _can_win(rank_sets, c)}
+            memo[key] = extension_scores(q)
+        score_sets.append(memo[key])
+    return {c for c in range(len(qs[0])) if _can_win(score_sets, c)}
 
 
 def test_oracle_matches_joint_enumeration():

@@ -122,6 +122,22 @@ class TestConfig:
             parse_config(text)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("profile_sets = 0", "profile_sets must be >= 1, got 0"),
+            ("reps_per_set = -1", "reps_per_set must be >= 1, got -1"),
+            ("voter_counts = 4, 0", "voter counts must be >= 1"),
+            ("behaviors = psychic", "unknown behavior 'psychic'"),
+            ("policies = greedy", "unknown policy 'greedy'"),
+        ],
+        ids=["profile_sets", "reps_per_set", "voter_counts", "behaviors", "policies"],
+    )
+    def test_invalid_value_names_line(self, line, message):
+        with pytest.raises(ValueError) as excinfo:
+            parse_config(f"dataset = d\n\n{line}\n")
+        assert str(excinfo.value).startswith(f"config line 3: {message}")
+
     def test_byte_order_mark_ignored(self, tmp_path):
         text = "dataset = d.soc\nvoter_counts = 4, 5\nworkers = 2\n"
         plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
@@ -136,12 +152,15 @@ class TestConfig:
         assert run_experiment(cfg) == run_experiment(tiny_config())
         with pytest.raises(ValueError, match="selector"):
             tiny_config(policies=[("greedy", False)])
+        with pytest.raises(ValueError, match="careful must be a bool, got 1"):
+            tiny_config(policies=[("es", 1)])
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             tiny_config(workers=workers)
-        with pytest.raises(ValueError, match="workers"):
+        message = f"^config line 2: workers must be >= 1, got {workers}$"
+        with pytest.raises(ValueError, match=message):
             parse_config(f"dataset = d\nworkers = {workers}\n")
 
     @pytest.mark.parametrize(
@@ -155,7 +174,7 @@ class TestConfig:
     def test_repeated_coordinates_rejected(self, key, value, repeated):
         with pytest.raises(ValueError) as excinfo:
             parse_config(f"dataset = d\n{key} = {value}\n")
-        assert str(excinfo.value) == f"{key} lists {repeated} more than once"
+        assert str(excinfo.value) == f"config line 2: {key} lists {repeated} more than once"
 
 
 class TestDeriveSeed:
