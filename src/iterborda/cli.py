@@ -5,10 +5,11 @@ Two subcommands:
 * ``run``: one election on a dataset sample, trace printed to stdout;
 * ``experiment``: a config-driven sweep writing records.csv and summary.csv.
 
-Bad input (an unreadable or malformed dataset or config, a dataset with
-fewer than two candidates, no voters, an output directory that cannot be
-created) is reported as one line on stderr with exit code 2, before any
-output is written.
+Bad input raises ``_BadInput`` inside a command, and ``main`` alone reports
+it: one line on stderr, exit code 2, before any output is written.  Bad input
+is a dataset or config that is missing, unreadable or malformed (a malformed
+config's message names its line), a dataset with fewer than two candidates,
+no voters, or an output directory that cannot be created.
 """
 
 from __future__ import annotations
@@ -24,33 +25,27 @@ from .preflib import Dataset, ParseError, load_soc, sample_profiles
 from .voter import BEHAVIORS
 
 
-def _bad_input(message: str) -> int:
-    """Report bad command-line input as one line; the exit code is 2."""
-    print(f"iterborda: error: {message}", file=sys.stderr)
-    return 2
+class _BadInput(Exception):
+    """Command-line input that cannot be used; its message is the reason."""
 
 
-def _load_dataset(path: str) -> Dataset | None:
-    """The dataset at ``path``, or None once why it cannot be used is reported."""
+def _load_dataset(path: str) -> Dataset:
+    """The dataset at ``path``; raise ``_BadInput`` if it cannot be used."""
     try:
         ds = load_soc(path)
     except OSError as exc:
-        _bad_input(f"cannot read dataset {path}: {exc.strerror or exc}")
+        raise _BadInput(f"cannot read dataset {path}: {exc.strerror or exc}")
     except (ParseError, UnicodeDecodeError) as exc:
-        _bad_input(f"malformed dataset {path}: {exc}")
-    else:
-        if ds.m >= 2:
-            return ds
-        _bad_input(f"dataset {path} ranks {ds.m} candidate; an election needs at least 2")
-    return None
+        raise _BadInput(f"malformed dataset {path}: {exc}")
+    if ds.m < 2:
+        raise _BadInput(f"dataset {path} ranks {ds.m} candidate; an election needs at least 2")
+    return ds
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     if args.voters < 1:
-        return _bad_input(f"--voters must be at least 1, got {args.voters}")
+        raise _BadInput(f"--voters must be at least 1, got {args.voters}")
     ds = _load_dataset(args.dataset)
-    if ds is None:
-        return 2
     seed = exp.derive_seed(args.seed, "cli-run")
     rng = random.Random(seed)
     profiles = sample_profiles(ds, args.voters, rng)
@@ -76,30 +71,26 @@ def _cmd_run(args) -> int:
         f"{result.max_queries} possible queries "
         f"({result.manipulated_count} manipulated)"
     )
-    return 0
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     try:
         cfg = exp.load_config(args.config)
     except OSError as exc:
-        return _bad_input(f"cannot read config {args.config}: {exc.strerror or exc}")
+        raise _BadInput(f"cannot read config {args.config}: {exc.strerror or exc}")
     except ValueError as exc:
-        return _bad_input(f"malformed config {args.config}: {exc}")
+        raise _BadInput(f"malformed config {args.config}: {exc}")
     ds = _load_dataset(cfg.dataset)
-    if ds is None:
-        return 2
     out_dir = Path(args.out if args.out is not None else cfg.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _bad_input(f"cannot create output directory {out_dir}: {exc.strerror or exc}")
+        raise _BadInput(f"cannot create output directory {out_dir}: {exc.strerror or exc}")
     records = exp.run_experiment(cfg, ds)
     exp.write_records_csv(records, out_dir / "records.csv")
     exp.write_summary_csv(exp.summarize(records), out_dir / "summary.csv")
     print(f"wrote {len(records)} records to {out_dir / 'records.csv'}")
     print(f"wrote summary to {out_dir / 'summary.csv'}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _BadInput as exc:
+        print(f"iterborda: error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

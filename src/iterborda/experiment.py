@@ -17,6 +17,7 @@ import concurrent.futures
 import csv
 import functools
 import hashlib
+import operator
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -51,8 +52,22 @@ class ExperimentConfig:
             _check_field(f.name, getattr(self, f.name))
 
 
+def _not_integer(name: str, value) -> ValueError:
+    """The error for a ``value`` of the count field ``name`` that is not an integer."""
+    must = "list integers" if name == "voter_counts" else "be an integer"
+    return ValueError(f"{name} must {must}, got {value!r}")
+
+
 def _check_field(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is valid for the config field ``name``."""
+    if name in ("voter_counts", "profile_sets", "reps_per_set", "base_seed", "workers"):
+        for v in value if name == "voter_counts" else [value]:
+            if isinstance(v, bool):
+                raise _not_integer(name, v)
+            try:
+                operator.index(v)  # numpy integers pass, floats and strings raise
+            except TypeError:
+                raise _not_integer(name, v) from None
     if name in ("profile_sets", "reps_per_set", "workers") and value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     if name == "voter_counts" and any(n < 1 for n in value):
@@ -115,6 +130,7 @@ def derive_seed(*parts) -> int:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` config; lists are comma-separated."""
+    known = {f.name for f in fields(ExperimentConfig)}
     raw: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -124,15 +140,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"config line {line_no}: expected 'key = value'")
+        if key not in known:
+            raise ValueError(f"config line {line_no}: unknown config key {key!r}")
         if key in raw:
             raise ValueError(f"config line {line_no}: key {key!r} given twice")
         raw[key] = value
         line_of[key] = line_no
 
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "dataset" not in raw:
         raise ValueError("config is missing required key 'dataset'")
 
@@ -141,8 +155,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             return int(token)
         except ValueError:
-            must = "list integers" if key == "voter_counts" else "be an integer"
-            raise ValueError(f"{key} must {must}, got {token.strip()!r}") from None
+            raise _not_integer(key, token.strip()) from None
 
     def read(key: str, value: str):
         """``key``'s value, converted and checked; an error names the line."""

@@ -2,18 +2,17 @@
 Floyd-Warshall closure of pair sets and the list-walk query selector among
 them), the one check and the one view of a ``CenterState``'s private caches,
 a relation's committed pairs, linear extensions as rankings and their Borda
-scores, the possible and necessary winners read off a summed matrix by their
-thresholds, the relations the tests draw (all closed ones on m candidates, or
-random ones, built with ``prefs.close``) and a script loader."""
+scores, summed over every joint completion, the possible and necessary
+winners read off a summed matrix by their thresholds, the relations the tests
+draw (all closed ones on m candidates, or random ones, built with
+``prefs.close``) and a script loader."""
 
 import importlib.util
-import itertools
 from typing import Sequence
 
 import numpy as np
 
 from iterborda.borda import (
-    borda_winner,
     necessary_winner_from_total,
     pair_diff_matrix,
     possible_winners_from_total,
@@ -177,12 +176,20 @@ def threshold_winners(total) -> tuple[frozenset[CandidateId], CandidateId | None
     return pw, (sure[0] if sure else None)
 
 
+def completion_scores(qs: Sequence[np.ndarray]) -> np.ndarray:
+    """The summed Borda scores of every joint completion of the relations
+    ``qs``: one row per product of their linear extensions, the first
+    relation's varying slowest, one column per candidate."""
+    total = np.zeros((1, len(qs[0])), dtype=np.int64)
+    for q in qs:
+        total = (total[:, None] + extension_scores(q)[None]).reshape(-1, len(q))
+    return total
+
+
 def joint_winner_set(qs: Sequence[np.ndarray]) -> set[CandidateId]:
-    """Winners over every joint completion (exact possible-winner set)."""
-    return {
-        borda_winner(list(combo))
-        for combo in itertools.product(*(linear_extensions(q) for q in qs))
-    }
+    """Winners over every joint completion (exact possible-winner set); argmax
+    breaks a tie for the lowest id, as ``borda_winner`` does."""
+    return set(np.argmax(completion_scores(qs), axis=1).tolist())
 
 
 def all_closed_relations(m: int) -> list[np.ndarray]:

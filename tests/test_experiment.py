@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from iterborda.center import POLICIES, Policy, run_election
@@ -66,8 +67,9 @@ class TestConfig:
         assert cfg.behaviors == [TRUTHFUL, MANIPULATIVE]
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            parse_config("dataset = d\ncolor = red\n")
+        with pytest.raises(ValueError) as excinfo:
+            parse_config("dataset = d\ncolor = red\nshade = blue\n")
+        assert str(excinfo.value) == "config line 2: unknown config key 'color'"
 
     def test_missing_required(self):
         with pytest.raises(ValueError):
@@ -84,6 +86,27 @@ class TestConfig:
             tiny_config(profile_sets=0)
         with pytest.raises(ValueError):
             tiny_config(behaviors=["psychic"])
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("profile_sets", 2.5, "profile_sets must be an integer, got 2.5"),
+            ("reps_per_set", "2", "reps_per_set must be an integer, got '2'"),
+            ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
+            ("workers", True, "workers must be an integer, got True"),
+            ("voter_counts", [3, 3.5], "voter_counts must list integers, got 3.5"),
+            ("voter_counts", [False], "voter_counts must list integers, got False"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, name, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            tiny_config(**{name: value})
+        assert str(excinfo.value) == message
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = tiny_config(voter_counts=[np.int64(3)], profile_sets=np.int32(1),
+                          reps_per_set=np.int64(1), base_seed=np.uint64(7), workers=np.int8(1))
+        assert run_experiment(cfg) == run_experiment(tiny_config())
 
     @pytest.mark.parametrize("name", ["voter_counts", "policies", "behaviors"])
     def test_empty_coordinates_rejected(self, name):

@@ -1,4 +1,5 @@
-"""Tests for local dominance, the feasibility precheck, and the rewrite search."""
+"""Tests for local dominance, the feasibility precheck, the rewrite search,
+and its rewrites against exact dominance over every completion."""
 
 import itertools
 import random
@@ -6,6 +7,8 @@ import random
 import numpy as np
 import pytest
 
+from iterborda.center import POLICIES, CenterState, run_election
+from iterborda.experiment import derive_seed
 from iterborda.manipulation import (
     ManipulationOutcome,
     PreconditionViolationError,
@@ -22,8 +25,9 @@ from iterborda.prefs import (
     swap_distance,
     unresolved_pairs,
 )
+from iterborda.voter import MANIPULATIVE
 
-from center_helpers import is_extension
+from center_helpers import completion_scores, is_extension
 
 
 def reference_precheck(p, pw_ordered, cj, ck):
@@ -263,3 +267,50 @@ class TestFindManipulation:
             compared += 1
             changed += fast.changed
         assert changed > 1000  # the sweep must actually exercise rewrites
+
+
+def test_rewrites_never_worse_in_any_completion():
+    """Local dominance against exact dominance.  At every round of seeded
+    manipulative elections, the queried voter's search runs on each of her
+    open pairs, the round's own query among them.  Over every joint
+    completion of the other voters' relations as the center holds them, and
+    judged by her true ranking, the Borda winner with any rewrite it returns,
+    the adopted ones included, is never worse than with her ranking before."""
+    rng = random.Random(derive_seed("exact-dominance"))
+    rounds = checked = completions = better = 0
+    for trial in range(400):
+        m, n = rng.randint(4, 5), rng.randint(3, 4)
+        profiles = [LinearOrder(rng.sample(range(m), m)) for _ in range(n)]
+        policy = POLICIES[trial % len(POLICIES)]
+        result = run_election(profiles, MANIPULATIVE, policy, random.Random(rng.getrandbits(64)))
+        # the recorded answers rebuild each round's relations and rankings
+        state = CenterState(n, m)
+        rankings = list(profiles)
+        for step in result.trace:
+            v = step.query.voter
+            p, q = rankings[v], state.qs[v]
+            rewrites = []
+            for a, b in unresolved_pairs(q):
+                cj, ck = (a, b) if p.prefers(a, b) else (b, a)
+                outcome = find_manipulation(p, q, step.pw, cj, ck)
+                if outcome.changed:
+                    rewrites.append(outcome.new_order)
+            if step.manipulated:
+                assert step.adopted in rewrites
+                rounds += 1
+                rankings[v] = step.adopted
+            if rewrites:
+                others = completion_scores([r for u, r in enumerate(state.qs) if u != v])
+                true_rank = np.asarray(profiles[v].rank_of)
+                # argmax breaks a tie for the lowest id, as borda_winner does
+                before = true_rank[np.argmax(others + m - np.asarray(p.rank_of), axis=1)]
+                for rewrite in rewrites:
+                    won = true_rank[np.argmax(others + m - np.asarray(rewrite.rank_of), axis=1)]
+                    assert not np.any(won > before), (trial, step, rewrite)
+                    better += int(np.sum(won < before))
+                checked += len(rewrites)
+                completions += len(others) * len(rewrites)
+            state.apply_response(step.query, step.response)
+    assert rounds >= 250 and better > 0
+    print(f"exact dominance: {rounds} manipulated rounds, {checked} rewrites checked over "
+          f"{completions} completions, 0 worse, {better} strictly better")
